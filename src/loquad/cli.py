@@ -1,22 +1,22 @@
 """Command line front end.
 
 Exit codes: 0 success or all verdicts pass, 1 a verdict failed, 2 input or
-hypothesis error.  All output is deterministic.
+hypothesis error, or a failed internal cross-check; every error ends in a
+one-line message, not a traceback.  All output is deterministic.
 """
 
 import argparse
 import sys
 from typing import Optional
 
-from .graphs import (CapExceeded, Graph, GraphError, chromatic_number,
-                     find_domination, find_k23, is_bipartite, is_connected)
-from .complexes import HypothesisError, VertexKind, lovasz_complex
+from .graphs import (DEFAULT_CHROMATIC_CAP, CapExceeded, GraphError,
+                     chromatic_number, find_domination, find_k23,
+                     is_bipartite, is_connected)
+from .complexes import ComplexError, HypothesisError, lovasz_complex
 from .surfaces import check_surface
-from .embeddings import (DEFAULT_ORACLE_CYCLE_CAP, EmbeddedGraph,
-                         all_4cycles_facial, is_quadrangulation,
-                         surface_class)
-from .invariants import (DEFAULT_CHROMATIC_CAP, invariant_report,
-                         verify_theorems)
+from .embeddings import (DEFAULT_ORACLE_CYCLE_CAP, all_4cycles_facial,
+                         is_quadrangulation, surface_class)
+from .invariants import invariant_report, verify_theorems
 from . import generators
 from .fileio import (FileFormatError, dump_embedding, dump_graph,
                      dump_report, load_embedding, load_graph, write_text)
@@ -275,7 +275,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_INPUT
     try:
         return args.func(args)
-    except (FileFormatError, GraphError, HypothesisError) as exc:
+    except (FileFormatError, GraphError, HypothesisError, ComplexError,
+            RuntimeError, RecursionError) as exc:
+        # RuntimeError also covers CapExceeded, InvariantViolation and
+        # RecursionError; any other Exception reaches the caller
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

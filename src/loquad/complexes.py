@@ -8,11 +8,13 @@ canonical free involution A -> CN(A).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .graphs import Graph, common_neighbors, common_neighbors_mask
+from .graphs import Graph, common_neighbors, common_neighbors_mask, \
+    mask_bits
 
 Label = tuple[int, ...]     # a closed set as a sorted vertex tuple
 
@@ -35,10 +37,17 @@ class HypothesisError(ValueError):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract simplicial complex given by vertex labels and maximal faces."""
+    """Abstract simplicial complex given by vertex labels and maximal faces.
+
+    The incidences are built once, on first use, and kept with the
+    complex: the faces of each dimension, the triangles at each vertex and
+    the triangles on each edge.
+    """
 
     labels: tuple[Label, ...]
     facets: frozenset[frozenset[int]]
+    _faces: dict[int, frozenset[frozenset[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -47,42 +56,69 @@ class SimplicialComplex:
         for f in self.facets:
             if any(not 0 <= v < nv for v in f):
                 raise ComplexError("facet vertex index out of range")
-        for f, g in itertools.combinations(self.facets, 2):
-            if f <= g or g <= f:
-                raise ComplexError("facets must be inclusion-incomparable")
+        if len(_maximal_faces(self.facets)) != len(self.facets):
+            raise ComplexError("facets must be inclusion-incomparable")
 
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
-    def faces(self, dim: int) -> set[frozenset[int]]:
+    def faces(self, dim: int) -> frozenset[frozenset[int]]:
         """All faces of the given dimension (vertex-index sets of size dim+1)."""
-        out: set[frozenset[int]] = set()
-        for f in self.facets:
-            if len(f) >= dim + 1:
-                for s in itertools.combinations(sorted(f), dim + 1):
-                    out.add(frozenset(s))
-        if dim == 0:
-            out |= {frozenset([v]) for v in range(self.num_vertices)}
+        out = self._faces.get(dim)
+        if out is None:
+            if dim == 0:
+                found = {frozenset([v]) for v in range(self.num_vertices)}
+            else:
+                # a facet of this size is its own face, not a copy
+                found = {f for f in self.facets if len(f) == dim + 1}
+                for f in self.facets:
+                    if len(f) > dim + 1:
+                        found.update(map(frozenset, itertools.combinations(
+                            sorted(f), dim + 1)))
+            out = self._faces[dim] = frozenset(found)
         return out
 
-    def all_faces(self) -> set[frozenset[int]]:
-        out: set[frozenset[int]] = set()
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                for s in itertools.combinations(sorted(f), k):
-                    out.add(frozenset(s))
-        out |= {frozenset([v]) for v in range(self.num_vertices)}
-        return out
+    def all_faces(self) -> frozenset[frozenset[int]]:
+        return frozenset().union(*(self.faces(d)
+                                   for d in range(self.dimension() + 1)))
 
     def dimension(self) -> int:
         return max((len(f) for f in self.facets), default=1) - 1
 
-    def edge_set(self) -> set[frozenset[int]]:
+    def edge_set(self) -> frozenset[frozenset[int]]:
         return self.faces(1)
 
-    def triangles(self) -> set[frozenset[int]]:
+    def triangles(self) -> frozenset[frozenset[int]]:
         return self.faces(2)
+
+    @cached_property
+    def _stars(self) -> tuple[tuple[tuple[frozenset[int], ...], ...],
+                              dict[frozenset[int],
+                                   tuple[frozenset[int], ...]]]:
+        """Triangles by vertex and by edge; the keys are the stored edges."""
+        by_vertex: list[list[frozenset[int]]] = [
+            [] for _ in range(self.num_vertices)]
+        by_edge: dict[frozenset[int], list[frozenset[int]]] = {
+            e: [] for e in self.edge_set()}
+        for t in self.triangles():
+            a, b, c = t
+            by_vertex[a].append(t)
+            by_vertex[b].append(t)
+            by_vertex[c].append(t)
+            by_edge[frozenset((a, b))].append(t)
+            by_edge[frozenset((a, c))].append(t)
+            by_edge[frozenset((b, c))].append(t)
+        return (tuple(map(tuple, by_vertex)),
+                {e: tuple(ts) for e, ts in by_edge.items() if ts})
+
+    def vertex_star(self, v: int) -> tuple[frozenset[int], ...]:
+        """The triangles containing vertex v."""
+        return self._stars[0][v]
+
+    def edge_star(self, edge: frozenset[int]) -> tuple[frozenset[int], ...]:
+        """The triangles containing the edge (empty for a non-edge)."""
+        return self._stars[1].get(edge, ())
 
     def skeleton_graph(self) -> Graph:
         edges = [tuple(sorted(e)) for e in self.edge_set()]
@@ -90,15 +126,33 @@ class SimplicialComplex:
         return Graph.from_edges(self.num_vertices, edges, names)
 
 
+def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The distinct faces of a family that lie in no other face of it.
+
+    Distinct faces of one size are never nested, so a face is compared only
+    with the larger faces kept before it, found through one of its
+    vertices; a family of one face size needs no comparison at all.  The
+    faces keep the order of a stable sort by decreasing size.
+    """
+    ordered = sorted(set(faces), key=len, reverse=True)
+    if len({len(f) for f in ordered}) < 2:
+        return ordered
+    kept: list[frozenset[int]] = []
+    through: dict[int, list[frozenset[int]]] = {}
+    for f in ordered:
+        home = min((through.get(v, ()) for v in f), key=len, default=kept)
+        if any(f < g for g in home):
+            continue
+        kept.append(f)
+        for v in f:
+            through.setdefault(v, []).append(f)
+    return kept
+
+
 def complex_from_facets(labels: Iterable[Label],
                         faces: Iterable[frozenset[int]]) -> SimplicialComplex:
     """Build a complex from any face family, retaining only maximal faces."""
-    faces = list(set(faces))
-    faces.sort(key=len, reverse=True)
-    facets: list[frozenset[int]] = []
-    for f in faces:
-        if not any(f < g for g in facets if len(g) > len(f)):
-            facets.append(f)
+    facets = _maximal_faces(faces)
     labels = tuple(labels)
     covered = set().union(*facets) if facets else set()
     for v in range(len(labels)):
@@ -158,14 +212,7 @@ def closed_sets(g: Graph) -> list[Label]:
 
 
 def _mask_label(mask: int) -> Label:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(mask_bits(mask))
 
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
@@ -178,11 +225,12 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     return complex_from_facets(labels, faces)
 
 
-def _classify_label(g: Graph, label: Label) -> VertexKind:
+def _classify_label(g: Graph, neighborhoods: frozenset[frozenset[int]],
+                    label: Label) -> VertexKind:
     s = frozenset(label)
     if len(s) == 1:
         return VertexKind.SINGLETON
-    if any(g.adj[v] == s for v in range(g.n)):
+    if s in neighborhoods:
         return VertexKind.NEIGHBORHOOD
     if len(s) == 2 and len(common_neighbors(g, s)) >= 2:
         return VertexKind.DIAGONAL
@@ -192,7 +240,8 @@ def _classify_label(g: Graph, label: Label) -> VertexKind:
 def _assemble_lovasz(g: Graph, labels: list[Label],
                      faces: Iterable[frozenset[int]]) -> LovaszComplex:
     base = complex_from_facets(tuple(labels), faces)
-    kinds = tuple(_classify_label(g, lab) for lab in labels)
+    neighborhoods = frozenset(g.adj)
+    kinds = tuple(_classify_label(g, neighborhoods, lab) for lab in labels)
     index = {lab: i for i, lab in enumerate(labels)}
     nu = []
     for lab in labels:

@@ -10,16 +10,17 @@ constructions relating embeddings to the Lovász complex.
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
-                        _assemble_lovasz, lovasz_complex)
-from .graphs import (CycleSpaceBasis, Edge, Graph, GraphError, canonical_cycle,
-                     cycle_space_basis, four_cycles, enumerate_simple_cycles,
-                     is_bipartite, is_connected, is_k23, norm_edge)
-from .surfaces import SurfaceClass, check_surface
+                        _assemble_lovasz)
+from .graphs import (CycleSpaceBasis, Edge, Graph, GraphError,
+                     InvariantViolation, canonical_cycle, cycle_space_basis,
+                     enumerate_simple_cycles, four_cycles, is_bipartite,
+                     is_connected, is_k23, norm_edge)
+from .surfaces import SurfaceClass, check_surface, link_cycle
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,13 @@ def _face_state_walks(e: EmbeddedGraph) -> list[list[State]]:
             walk = orbit
         else:
             # self-mirrored orbit traverses the face in both directions
-            assert len(orbit) % 2 == 0
+            if len(orbit) % 2:
+                raise InvariantViolation("self-mirrored face orbit of odd "
+                                         "length")
             walk = orbit[: len(orbit) // 2]
         walks.append(walk)
-    assert sum(len(w) for w in walks) == 2 * e.graph.num_edges
+    if sum(len(w) for w in walks) != 2 * e.graph.num_edges:
+        raise InvariantViolation("face walks do not use every dart once")
     return walks
 
 
@@ -254,9 +258,9 @@ def is_orientable_embedding(e: EmbeddedGraph) -> bool:
             continue
         eps[s] = 1
         seen[s] = True
-        queue = [s]
+        queue = deque([s])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in g.adj[u]:
                 want = eps[u] * e.sign(u, w)
                 if not seen[w]:
@@ -477,10 +481,12 @@ def _star_cocycles(e: EmbeddedGraph
         for k in range(len(corners)):
             triangles.append((x, corners[k], corners[(k + 1) % len(corners)]))
     for x, a, b in triangles:
-        assert (cw[norm_edge(x, a)] + cw[norm_edge(x, b)]
-                + cw[norm_edge(a, b)]) % 2 == 0
-        assert (cp[norm_edge(x, a)] + cp[norm_edge(x, b)]
-                + cp[norm_edge(a, b)]) % 2 == 0
+        for name, c in (("w1", cw), ("parity", cp)):
+            if (c[norm_edge(x, a)] + c[norm_edge(x, b)]
+                    + c[norm_edge(a, b)]) % 2:
+                raise InvariantViolation(
+                    f"{name} cochain is not a cocycle on triangle "
+                    f"{(x, a, b)}")
     return triangles, cw, cp
 
 
@@ -513,7 +519,9 @@ def oddness_functional(e: EmbeddedGraph) -> bool:
     # Wu consistency check: the self-pairing of w1 is the Euler
     # characteristic mod 2.
     chi = euler_characteristic(e)
-    assert _cup_product(triangles, cw, cw) == chi % 2
+    if _cup_product(triangles, cw, cw) != chi % 2:
+        raise InvariantViolation(
+            f"w1 squared disagrees with the Euler characteristic {chi}")
     return _cup_product(triangles, cp, cw) == 1
 
 
@@ -685,24 +693,6 @@ def lovasz_from_quadrangulation(e: EmbeddedGraph) -> LovaszComplex:
     return _assemble_lovasz(g, labels, faces)
 
 
-def _link_cycle(K, v: int) -> list[int]:
-    """The link of v ordered around its cycle (direction arbitrary)."""
-    adj: dict[int, list[int]] = {}
-    for t in K.triangles():
-        if v in t:
-            x, y = sorted(t - {v})
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-    start = min(adj)
-    out = [start, min(adj[start])]
-    while True:
-        prev, cur = out[-2], out[-1]
-        nxt = next(w for w in adj[cur] if w != prev)
-        if nxt == start:
-            return out
-        out.append(nxt)
-
-
 def rotation_system_of_surface(K) -> EmbeddedGraph:
     """A signed rotation system for the 1-skeleton of a triangulated surface.
 
@@ -714,7 +704,7 @@ def rotation_system_of_surface(K) -> EmbeddedGraph:
     if not verdict.is_surface:
         raise HypothesisError("complex is a closed surface",
                               verdict.witness.detail if verdict.witness else "")
-    rots = [tuple(_link_cycle(K, v)) for v in range(K.num_vertices)]
+    rots = [tuple(link_cycle(K, v)) for v in range(K.num_vertices)]
     skel = K.skeleton_graph()
 
     def succ(v: int, u: int) -> int:
@@ -809,8 +799,8 @@ def lovasz_quads(L: LovaszComplex) -> list[tuple[int, ...]]:
     quads = []
     for i, kind in enumerate(L.kinds):
         if kind is VertexKind.DIAGONAL:
-            link = _link_cycle(L.base, i)
-            if len(link) != 4:
+            link = link_cycle(L.base, i)
+            if link is None or len(link) != 4:
                 raise HypothesisError("link of a diagonal is a 4-cycle",
                                       f"diagonal {L.labels[i]}")
             quads.append(tuple(link))

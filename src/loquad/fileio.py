@@ -7,7 +7,7 @@ as golden files.
 
 import json
 import sys
-from typing import Any, Optional, TextIO, Union
+from typing import Any, Optional, TextIO
 
 from .graphs import Graph, GraphError, norm_edge
 from .embeddings import EmbeddedGraph

@@ -4,16 +4,13 @@ Every generator self-checks its own annotations before returning, so a
 shipped fixture can never drift from its documented properties.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError, cycle_space_basis, is_bipartite, \
-    norm_edge
-from .embeddings import (EmbeddedGraph, all_4cycles_facial, cycle_edge_set,
-                         embedded, is_orientable_embedding,
-                         is_quadrangulation, oddness_functional,
-                         one_sidedness_functional, parity_functional,
-                         surface_class, trace_faces)
+from .graphs import Graph, GraphError, is_bipartite, norm_edge
+from .embeddings import (EmbeddedGraph, all_4cycles_facial, embedded,
+                         is_orientable_embedding, is_quadrangulation,
+                         oddness_functional, surface_class, trace_faces)
 
 
 @dataclass(frozen=True)

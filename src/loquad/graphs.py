@@ -7,7 +7,8 @@ integer bitmasks (for the common-neighbor kernels).
 
 from __future__ import annotations
 
-import itertools
+import bisect
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -18,6 +19,11 @@ class GraphError(ValueError):
 
 class CapExceeded(RuntimeError):
     """An exact computation was requested beyond its configured size cap."""
+
+
+class InvariantViolation(RuntimeError):
+    """A mathematical cross-check failed: the program, not the input, is
+    at fault."""
 
 
 @dataclass(frozen=True)
@@ -78,15 +84,18 @@ def _to_mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in set(vertices))
 
 
-def _from_mask(mask: int) -> frozenset[int]:
-    out = set()
-    v = 0
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of a mask, ascending; costs one step per set bit."""
+    out = []
     while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _from_mask(mask: int) -> frozenset[int]:
+    return frozenset(mask_bits(mask))
 
 
 def common_neighbors_mask(g: Graph, mask: int) -> int:
@@ -95,14 +104,12 @@ def common_neighbors_mask(g: Graph, mask: int) -> int:
     The empty set has every vertex as a (vacuous) common neighbor.
     """
     result = g.full_mask()
-    v = 0
     while mask:
-        if mask & 1:
-            result &= g.masks[v]
-            if not result:
-                return 0
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        result &= g.masks[low.bit_length() - 1]
+        if not result:
+            return 0
+        mask ^= low
     return result
 
 
@@ -156,9 +163,9 @@ def is_bipartite(g: Graph) -> BipartiteVerdict:
         if color[s] >= 0:
             continue
         color[s] = 0
-        queue = [s]
+        queue = deque([s])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in g.adj[u]:
                 if color[w] < 0:
                     color[w] = 1 - color[u]
@@ -177,18 +184,34 @@ def is_bipartite(g: Graph) -> BipartiteVerdict:
     return BipartiteVerdict(True, coloring=tuple(color))
 
 
+def _wedges(g: Graph) -> dict[tuple[int, int], list[int]]:
+    """Every path a-b-c with a < c, grouped by its ends (a, c).
+
+    The middles of each pair are its common neighbors, ascending.  Costs
+    the sum of the squared degrees.
+    """
+    middles: dict[tuple[int, int], list[int]] = {}
+    for b in range(g.n):
+        nb = sorted(g.adj[b])
+        for i, a in enumerate(nb):
+            for c in nb[i + 1:]:
+                middles.setdefault((a, c), []).append(b)
+    return middles
+
+
 def find_k23(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int, int]]]:
     """A K(2,3) subgraph as shore tuples, or None.
 
-    Scans vertex pairs for >= 3 common neighbors, which is equivalent to
-    containing K(2,3) as a subgraph.
+    The lexicographically first vertex pair with >= 3 common neighbors,
+    which is equivalent to containing K(2,3) as a subgraph, with its three
+    least common neighbors.
     """
-    for u, v in itertools.combinations(range(g.n), 2):
-        cn = common_neighbors(g, (u, v))
-        if len(cn) >= 3:
-            b = tuple(sorted(cn)[:3])
-            return ((u, v), b)  # type: ignore[return-value]
-    return None
+    wedges = _wedges(g)
+    pair = min((p for p, mids in wedges.items() if len(mids) >= 3),
+               default=None)
+    if pair is None:
+        return None
+    return (pair, tuple(wedges[pair][:3]))  # type: ignore[return-value]
 
 
 def find_domination(g: Graph) -> Optional[tuple[int, int]]:
@@ -289,7 +312,9 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHROMATIC_CAP
         k += 1
     else:
         k = hi
-    assert max(best) + 1 == k and all(best[u] != best[v] for u, v in g.edges)
+    if max(best) + 1 != k or any(best[u] == best[v] for u, v in g.edges):
+        raise InvariantViolation(
+            f"coloring certificate does not prove chromatic number {k}")
     return k, best
 
 
@@ -351,10 +376,10 @@ def cycle_space_basis(g: Graph) -> CycleSpaceBasis:
     seen = [False] * g.n
     seen[0] = True
     order = [0]
-    queue = [0]
+    queue = deque([0])
     tree: set[Edge] = set()
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for w in sorted(g.adj[u]):
             if not seen[w]:
                 seen[w] = True
@@ -437,13 +462,19 @@ def enumerate_simple_cycles(g: Graph, max_count: int = 100000
 
 
 def four_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """All simple 4-cycles, via common-neighbor pairs of the diagonals."""
-    out = set()
-    for a, c in itertools.combinations(range(g.n), 2):
-        cn = sorted(common_neighbors(g, (a, c)))
-        for b, d in itertools.combinations(cn, 2):
-            out.add(canonical_cycle((a, b, c, d)))
-    return sorted(out)
+    """All simple 4-cycles in canonical form, sorted.
+
+    A 4-cycle a-b-c-d is two wedges a-b-c and a-d-c with the same ends.
+    It is emitted once, from the diagonal {a, c} that holds its least
+    vertex; its canonical form is then (a, b, c, d) with b < d.
+    """
+    out = []
+    for (a, c), mids in _wedges(g).items():
+        for i in range(bisect.bisect(mids, a), len(mids)):
+            for d in mids[i + 1:]:
+                out.append((a, mids[i], c, d))
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ behind the pipeline on a given embedding and returns named verdicts.
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graphs import (Graph, CapExceeded, chromatic_number, find_domination,
-                     find_k23, is_bipartite, is_connected, is_k23)
+from .graphs import (DEFAULT_CHROMATIC_CAP, CapExceeded, InvariantViolation,
+                     chromatic_number, find_domination, find_k23,
+                     is_bipartite, is_connected, is_k23)
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         lovasz_complex, nu_free_on_faces, quotient_complex)
 from .surfaces import SurfaceClass, check_surface, euler_characteristic as \
@@ -118,10 +119,12 @@ def gray_count(triangles: list[LabeledTriangle],
     triangulation always carries gray triangles in involution pairs; the
     meaningful count is the number of orbits, one triangle each.
     """
-    gray_reps = sum(1 for t in triangles
-                    if is_gray(t, labeling) and _orbit_representative(
-                        t, labeling))
-    assert 2 * gray_reps == sum(1 for t in triangles if is_gray(t, labeling))
+    gray = [t for t in triangles if is_gray(t, labeling)]
+    gray_reps = sum(1 for t in gray if _orbit_representative(t, labeling))
+    if 2 * gray_reps != len(gray):
+        raise InvariantViolation(
+            f"{len(gray)} gray triangles do not pair up under the involution "
+            f"({gray_reps} orbit representatives)")
     return gray_reps
 
 
@@ -141,7 +144,9 @@ def cyclic_quad_count(quads: list[LabeledQuad],
         if turned == sorted(values) or \
                 [turned[0]] + turned[:0:-1] == sorted(values):
             count += 1
-    assert count % 2 == 0
+    if count % 2:
+        raise InvariantViolation(
+            f"{count} cyclic quads do not pair up under the involution")
     return count // 2
 
 
@@ -185,7 +190,9 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     triangles = symmetric_triangulation(L, labeling, rule)
     gray = gray_count(triangles, labeling)
     r = cyclic_quad_count(quads, labeling)
-    assert gray % 2 == r % 2
+    if gray % 2 != r % 2:
+        raise InvariantViolation(
+            f"gray count {gray} and cyclic count {r} differ in parity")
     cohom_ind = 2 if gray % 2 == 1 else 1
     odd: Optional[bool] = None
     if not is_orientable_embedding(e):
@@ -198,7 +205,9 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     ind = cohom_ind
     lo_class = verdict.surface
     coind = 2 if (lo_class.orientable and lo_class.genus == 0) else 1
-    assert coind <= cohom_ind <= ind
+    if not coind <= cohom_ind <= ind:
+        raise InvariantViolation(
+            f"coind {coind} <= cohom-ind {cohom_ind} <= ind {ind} fails")
     return GrayReport(
         gray_count=gray,
         cyclic_count=r,
@@ -236,9 +245,6 @@ def _skip(name: str, reason: str) -> CheckVerdict:
     return CheckVerdict(name, "skipped", reason)
 
 
-DEFAULT_CHROMATIC_CAP = 64
-
-
 def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
                     oracle_cap: int = DEFAULT_ORACLE_CYCLE_CAP,
                     chromatic_cap: int = DEFAULT_CHROMATIC_CAP
@@ -271,12 +277,13 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
     g = e.graph
     out: list[CheckVerdict] = []
     quad_ok = is_quadrangulation(e).ok
-    facial = all_4cycles_facial(e)
+    # the facial test is defined on quadrangulations only
+    facial = all_4cycles_facial(e) if quad_ok else None
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
 
     name = "k23_dichotomy"
-    if not (connected and quad_ok and facial.ok):
+    if not (connected and facial is not None and facial.ok):
         out.append(_skip(name, "needs an all-facial quadrangulation"))
     elif is_k23(g):
         out.append(_verdict(name, True, "graph is K(2,3)"))
@@ -360,7 +367,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
                             f"complex {lo.describe()}, base {s.describe()}"))
 
     name = "non_facial_rejection"
-    if facial.ok:
+    if facial is not None and facial.ok:
         out.append(_skip(name, "every 4-cycle is facial"))
     elif not (connected and not bip and quad_ok and not is_k23(g)):
         out.append(_skip(name, "needs a non-bipartite quadrangulation"))

@@ -8,10 +8,12 @@ orientability.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import ComplexError, HypothesisError, SimplicialComplex
+from .graphs import connected_components
 
 
 @dataclass(frozen=True)
@@ -45,30 +47,29 @@ class SurfaceVerdict:
     surface: Optional[SurfaceClass] = None
 
 
-def _link_is_single_cycle(K: SimplicialComplex, v: int,
-                          tris: set[frozenset[int]]) -> bool:
-    # link edges of v: pairs (a, b) with {v,a,b} a triangle
-    link_adj: dict[int, set[int]] = {}
-    for t in tris:
-        if v in t:
-            a, b = sorted(t - {v})
-            link_adj.setdefault(a, set()).add(b)
-            link_adj.setdefault(b, set()).add(a)
-    if not link_adj:
-        return False
-    if any(len(nb) != 2 for nb in link_adj.values()):
-        return False
-    # single cycle: connected 2-regular
-    start = next(iter(link_adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in link_adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(link_adj)
+def link_cycle(K: SimplicialComplex, v: int) -> Optional[list[int]]:
+    """The link of v in cyclic order, or None when it is not one cycle.
+
+    The walk starts at the least link vertex and steps to its lesser
+    neighbor first, so the order depends on the complex alone.
+    """
+    adj: dict[int, list[int]] = {}
+    for t in K.vertex_star(v):
+        a, b = sorted(t - {v})
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if not adj or any(len(nb) != 2 for nb in adj.values()):
+        return None
+    start = min(adj)
+    out = [start, min(adj[start])]
+    while True:
+        x, y = adj[out[-1]]
+        nxt = y if x == out[-2] else x
+        if nxt == start:
+            break
+        out.append(nxt)
+    # a 2-regular link is one cycle exactly when the walk visits all of it
+    return out if len(out) == len(adj) else None
 
 
 def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
@@ -78,25 +79,18 @@ def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
             return SurfaceVerdict(False, SurfaceDefect(
                 "not-pure", f"facet of size {len(f)}: "
                 f"{tuple(K.labels[v] for v in sorted(f))}"))
-    tris = K.triangles()
-    edge_count: dict[frozenset[int], int] = {}
-    for t in tris:
-        for e in (frozenset(p) for p in
-                  ((a, b) for a in t for b in t if a < b)):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    for e, c in sorted(edge_count.items(), key=lambda kv: sorted(kv[0])):
-        if c != 2:
-            u, v = sorted(e)
-            return SurfaceVerdict(False, SurfaceDefect(
-                "edge-degree",
-                f"edge ({K.labels[u]},{K.labels[v]}) in {c} triangles"))
+    bad = [e for e in K.edge_set() if len(K.edge_star(e)) != 2]
+    if bad:
+        e = min(bad, key=sorted)
+        u, v = sorted(e)
+        return SurfaceVerdict(False, SurfaceDefect(
+            "edge-degree", f"edge ({K.labels[u]},{K.labels[v]}) in "
+            f"{len(K.edge_star(e))} triangles"))
     for v in range(K.num_vertices):
-        if not _link_is_single_cycle(K, v, tris):
+        if link_cycle(K, v) is None:
             return SurfaceVerdict(False, SurfaceDefect(
                 "bad-link", f"link of {K.labels[v]} is not a single cycle"))
-    skel = K.skeleton_graph()
-    from .graphs import connected_components
-    comps = connected_components(skel)
+    comps = connected_components(K.skeleton_graph())
     if len(comps) != 1:
         return SurfaceVerdict(False, SurfaceDefect(
             "disconnected", f"{len(comps)} components"))
@@ -126,46 +120,27 @@ def orientability(K: SimplicialComplex, _checked: bool = False) -> bool:
         if not v.is_surface:
             raise HypothesisError("complex is a closed surface",
                                   v.witness.detail if v.witness else "")
-    tris = sorted(K.triangles(), key=sorted)
-    by_edge: dict[frozenset[int], list[int]] = {}
-    for i, t in enumerate(tris):
-        for e in (frozenset(p) for p in
-                  ((a, b) for a in t for b in t if a < b)):
-            by_edge.setdefault(e, []).append(i)
-    # orientation of triangle i: an ordered tuple of its vertices
-    orient: list[Optional[tuple[int, int, int]]] = [None] * len(tris)
-
-    def induced(o: tuple[int, int, int]) -> set[tuple[int, int]]:
-        a, b, c = o
-        return {(a, b), (b, c), (c, a)}
-
-    for start in range(len(tris)):
-        if orient[start] is not None:
+    # orientation of a triangle: its three darts (a, b), (b, c), (c, a)
+    darts: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+    for start in K.triangles():
+        if start in darts:
             continue
-        a, b, c = sorted(tris[start])
-        orient[start] = (a, b, c)
-        queue = [start]
+        a, b, c = sorted(start)
+        darts[start] = ((a, b), (b, c), (c, a))
+        queue = deque([start])
         while queue:
-            i = queue.pop(0)
-            oi = orient[i]
-            assert oi is not None
-            darts = induced(oi)
-            for e in (frozenset(p) for p in
-                      ((x, y) for x in tris[i] for y in tris[i] if x < y)):
-                for j in by_edge[e]:
-                    if j == i:
+            t = queue.popleft()
+            for u, v in darts[t]:
+                # the other triangle on edge uv must run it as (v, u)
+                for s in K.edge_star(frozenset((u, v))):
+                    if s == t:
                         continue
-                    u, v = sorted(e)
-                    # i induces (u,v) or (v,u); j must induce the reverse
-                    need = (v, u) if (u, v) in darts else (u, v)
-                    w = next(iter(tris[j] - e))
-                    oj = (need[0], need[1], w)
-                    if orient[j] is None:
-                        orient[j] = oj
-                        queue.append(j)
-                    else:
-                        if induced(orient[j]) != induced(oj):
-                            return False
+                    (w,) = s - {u, v}
+                    if s not in darts:
+                        darts[s] = ((v, u), (u, w), (w, v))
+                        queue.append(s)
+                    elif (v, u) not in darts[s]:
+                        return False
     return True
 
 

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loquad
 from loquad.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, main
+from loquad.complexes import ComplexError
+from loquad.embeddings import embedded
 from loquad.fileio import dump_embedding, dump_graph, parse_embedding
 from loquad.generators import fixture_text, k4_projective, torus_grid
 
@@ -156,6 +163,14 @@ class TestVerify:
         assert code == EXIT_VERDICT
         assert all(v["status"] == "skipped" for v in report.values())
 
+    def test_non_quadrangulation_reports_skips(self, capsys, tmp_path):
+        p = tmp_path / "path.emb.json"
+        p.write_text(dump_embedding(embedded(2, [(0, 1)], [(1,), (0,)])))
+        code, report = run_json(capsys, ["verify", str(p)])
+        assert code == EXIT_VERDICT
+        assert all(v["status"] == "skipped" and v["detail"]
+                   for v in report.values())
+
 
 class TestGenerate:
     def test_generate_matches_fixture(self, capsys):
@@ -205,3 +220,45 @@ class TestInputErrors:
         assert main(["verify", fixture_path("k4-projective.emb.json"),
                      "--cap-cycles", "0"]) == EXIT_INPUT
         capsys.readouterr()
+
+
+class TestNoTracebacks:
+    @pytest.mark.parametrize("exc", [ComplexError("bad complex"),
+                                     RuntimeError("cross-check failed"),
+                                     RecursionError("too deep")],
+                             ids=lambda exc: type(exc).__name__)
+    def test_error_becomes_exit_2(self, capsys, monkeypatch, fixture_path,
+                                  exc):
+        def fail(args):
+            raise exc
+        monkeypatch.setattr("loquad.cli.cmd_check", fail)
+        assert main(["check", fixture_path("k4-projective.emb.json")]) \
+            == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_other_exceptions_pass_through(self, monkeypatch, fixture_path):
+        # a caller's own Exception subclass (a job time limit, say) must
+        # reach the caller
+        class Interrupt(Exception):
+            pass
+
+        def fail(args):
+            raise Interrupt()
+        monkeypatch.setattr("loquad.cli.cmd_check", fail)
+        with pytest.raises(Interrupt):
+            main(["check", fixture_path("k4-projective.emb.json")])
+
+
+def test_optimized_mode_gives_identical_output(fixture_path):
+    # the mathematical cross-checks are explicit, so python -O runs them too
+    src = str(Path(loquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["-m", "loquad", "invariants",
+            fixture_path("klein-grid-3-5-0.emb.json"), "--exact-chi"]
+    runs = [subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, timeout=120)
+            for flags in ([], ["-O"])]
+    for run in runs:
+        assert run.returncode == EXIT_OK, run.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["odd"] is True

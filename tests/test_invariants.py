@@ -1,9 +1,9 @@
 import pytest
 
 from loquad.complexes import HypothesisError, lovasz_complex
-from loquad.embeddings import lovasz_from_quadrangulation
+from loquad.embeddings import embedded, lovasz_from_quadrangulation
 from loquad.generators import klein_grid, torus_grid
-from loquad.graphs import Graph, chromatic_number
+from loquad.graphs import Graph, InvariantViolation, chromatic_number
 from loquad.invariants import (build_labeling, cyclic_quad_count, gray_count,
                                invariant_report, is_gray, labeled_quads,
                                symmetric_triangulation, verify_theorems)
@@ -70,6 +70,18 @@ class TestGrayness:
         assert not is_gray(("a", "b", "d"), lab)      # signs +,-,-
         assert is_gray(("b", "c", "d"), lab)          # signs -,+,-
         assert not is_gray(("a", "c", "d"), lab)      # middle agrees with lo
+
+    def test_unpaired_gray_triangle_is_a_violation(self):
+        # one gray triangle without its mirror: an explicit check, so it
+        # holds under python -O as well
+        lab = {"a": 1, "b": -2, "c": 3}
+        with pytest.raises(InvariantViolation):
+            gray_count([("a", "b", "c")], lab)
+
+    def test_unpaired_cyclic_quad_is_a_violation(self):
+        lab = {"a": 1, "b": 2, "c": 3, "d": 4}
+        with pytest.raises(InvariantViolation):
+            cyclic_quad_count([("a", "b", "c", "d")], lab)
 
     def test_gray_count_k4(self, k4p):
         L = lovasz_from_quadrangulation(k4p)
@@ -174,3 +186,12 @@ class TestVerifyTheorems:
     def test_oracle_mode(self, k4p):
         verdicts = {v.name: v for v in verify_theorems(k4p, run_oracle=True)}
         assert verdicts["gray_parity_agreement"].status == "pass"
+
+    def test_non_quadrangulation_is_skipped_not_raised(self):
+        path = embedded(2, [(0, 1)], [(1,), (0,)])
+        verdicts = {v.name: v for v in verify_theorems(path)}
+        assert all(v.status == "skipped" for v in verdicts.values())
+        assert verdicts["k23_dichotomy"].detail == \
+            "needs an all-facial quadrangulation"
+        assert verdicts["non_facial_rejection"].detail == \
+            "needs a non-bipartite quadrangulation"

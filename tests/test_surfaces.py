@@ -44,12 +44,15 @@ class TestRecognition:
         verdict = check_surface(K)
         assert not verdict.is_surface
         assert verdict.witness.kind == "not-pure"
+        assert verdict.witness.detail == "facet of size 2: ('c', 'd')"
 
     def test_edge_in_three_triangles(self):
         K = build(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)])
         verdict = check_surface(K)
         assert not verdict.is_surface
         assert verdict.witness.kind == "edge-degree"
+        # the least bad edge is named: (0,2) lies in one triangle only
+        assert verdict.witness.detail == "edge (0,1) in 3 triangles"
 
     def test_bad_vertex_link(self):
         # two tetrahedra glued at one vertex: every edge is fine but the
@@ -59,6 +62,7 @@ class TestRecognition:
         verdict = check_surface(K)
         assert not verdict.is_surface
         assert verdict.witness.kind == "bad-link"
+        assert verdict.witness.detail == "link of 3 is not a single cycle"
 
     def test_disconnected(self):
         K = build(8, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
@@ -66,6 +70,7 @@ class TestRecognition:
         verdict = check_surface(K)
         assert not verdict.is_surface
         assert verdict.witness.kind == "disconnected"
+        assert verdict.witness.detail == "2 components"
 
 
 class TestInvariants:
