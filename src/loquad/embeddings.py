@@ -6,6 +6,13 @@ encoding of embeddings in possibly non-orientable surfaces.  This module
 covers face tracing, quadrangulation checks, GF(2) functionals on the
 cycle space, the cut-along-cycle oracle, embedded isomorphism, and the
 constructions relating embeddings to the Lovász complex.
+
+The cutting oracle decides each cut directly (`cut_surface_orientable`):
+a +-1 gauge factor per cycle vertex takes the place of switching, each
+cycle vertex is split into a left and a right copy read off its rotation,
+and a signed BFS labeling of the resulting edge list decides
+orientability, so no cut embedding is built.  `cut_along_cycle` builds
+the cut surface and stays as the reference for that decision.
 """
 
 from __future__ import annotations
@@ -251,20 +258,17 @@ def is_orientable_embedding(e: EmbeddedGraph) -> bool:
     all-positive; decided by BFS labeling.
     """
     g = e.graph
-    eps = [0] * g.n     # 0 unknown is avoided by seeding each component
-    seen = [False] * g.n
+    eps = [0] * g.n     # 0 marks an unlabeled vertex
     for s in range(g.n):
-        if seen[s]:
+        if eps[s]:
             continue
         eps[s] = 1
-        seen[s] = True
         queue = deque([s])
         while queue:
             u = queue.popleft()
             for w in g.adj[u]:
                 want = eps[u] * e.sign(u, w)
-                if not seen[w]:
-                    seen[w] = True
+                if not eps[w]:
                     eps[w] = want
                     queue.append(w)
                 elif eps[w] != want:
@@ -328,6 +332,15 @@ def _arc_between(rot: Sequence[int], start: int, stop: int) -> list[int]:
     return out
 
 
+def _check_cut_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> None:
+    k = len(cycle)
+    if k < 3 or len(set(cycle)) != k:
+        raise GraphError("cut requires a simple cycle of length >= 3")
+    for i in range(k):
+        if cycle[(i + 1) % k] not in e.graph.adj[cycle[i]]:
+            raise GraphError("cut input is not a cycle of the graph")
+
+
 def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
     """The surface cut along a simple cycle, with boundaries capped by discs.
 
@@ -336,12 +349,8 @@ def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
     The capped boundaries appear as new faces of the returned embedding,
     which may be disconnected (one component per resulting surface).
     """
+    _check_cut_cycle(e, cycle)
     k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        raise GraphError("cut requires a simple cycle of length >= 3")
-    for i in range(k):
-        if cycle[(i + 1) % k] not in e.graph.adj[cycle[i]]:
-            raise GraphError("cut input is not a cycle of the graph")
     # Normalize local orientations so the open path carries +1 signs; the
     # closing sign is then the (gauge-invariant) one-sidedness of the cycle.
     work = e
@@ -425,9 +434,97 @@ def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
     return embedded(len(keep), edges2, rot2, neg2, names2)
 
 
+def _signs_balanced(signed_adj: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """True iff the vertices admit labels eps in {+1, -1} with
+    eps(w) = eps(u) * s for every pair (w, s) in `signed_adj[u]`.
+
+    The BFS labeling of `is_orientable_embedding`, run on an explicit
+    signed edge list; that function walks the embedding itself, so that it
+    builds no lists.
+    """
+    eps = [0] * len(signed_adj)     # 0 marks an unlabeled vertex
+    for s in range(len(signed_adj)):
+        if eps[s]:
+            continue
+        eps[s] = 1
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w, sign in signed_adj[u]:
+                want = eps[u] * sign
+                if not eps[w]:
+                    eps[w] = want
+                    queue.append(w)
+                elif eps[w] != want:
+                    return False
+    return True
+
+
 def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
-    """Whether every component of the cut (and capped) surface is orientable."""
-    return is_orientable_embedding(cut_along_cycle(e, cycle))
+    """Whether every component of the cut (and capped) surface is orientable.
+
+    Decided without building the cut embedding.  The gauge of
+    `cut_along_cycle` switches cycle vertex i exactly when the running
+    product of the path signs up to it is -1; that product is kept as a
+    factor per cycle vertex, and the closing sign times the last factor is
+    the one-sidedness of the cycle.  Each cycle vertex gets a left copy
+    (the neighbors strictly between its successor and its predecessor in
+    its rotation, read in reverse where the factor is -1) and a right copy
+    (the rest).  Off-cycle edges and chords join the copies their ends see,
+    re-signed by the factors of those ends; the copies are joined along
+    the cycle by positive edges, with a twisted negative closing pair when
+    the cycle is one-sided.  The cut is orientable iff that signed graph
+    admits a consistent +-1 labeling.  `cut_along_cycle` is the reference.
+    Cost O(E) per cut.
+    """
+    _check_cut_cycle(e, cycle)
+    k = len(cycle)
+    n = e.graph.n
+    signs = e.signs
+    index = {v: i for i, v in enumerate(cycle)}
+    factor = [1] * k
+    for i in range(1, k):
+        factor[i] = factor[i - 1] * signs[norm_edge(cycle[i - 1], cycle[i])]
+    one_sided = factor[k - 1] * signs[norm_edge(cycle[k - 1], cycle[0])] < 0
+
+    # copy n + 2i is the left side of cycle[i], n + 2i + 1 the right side;
+    # the slots of the cycle vertices themselves stay isolated
+    side: dict[tuple[int, int], int] = {}     # (cycle vertex, neighbor)
+    for i, v in enumerate(cycle):
+        rot = e.rotations[v] if factor[i] > 0 else e.rotations[v][::-1]
+        nxt, prv = cycle[(i + 1) % k], cycle[i - 1]
+        d = len(rot)
+        start = rot.index(nxt)
+        copy = n + 2 * i
+        for j in range(start + 1, start + d):
+            u = rot[j % d]
+            if u == prv:
+                copy += 1
+            else:
+                side[v, u] = copy
+
+    signed_adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 2 * k)]
+    for (u, v), s in signs.items():
+        iu, iv = index.get(u), index.get(v)
+        a, b = u, v
+        if iu is not None:
+            if iv is not None and (iu - iv) % k in (1, k - 1):
+                continue    # cycle edges are joined below
+            a, s = side[u, v], s * factor[iu]
+        if iv is not None:
+            b, s = side[v, u], s * factor[iv]
+        signed_adj[a].append((b, s))
+        signed_adj[b].append((a, s))
+    for i in range(k):
+        a_u, a_v = n + 2 * i, n + 2 * ((i + 1) % k)
+        if i < k - 1 or not one_sided:
+            pairs, s = ((a_u, a_v), (a_u + 1, a_v + 1)), 1
+        else:
+            pairs, s = ((a_u, a_v + 1), (a_u + 1, a_v)), -1
+        for a, b in pairs:
+            signed_adj[a].append((b, s))
+            signed_adj[b].append((a, s))
+    return _signs_balanced(signed_adj)
 
 
 # ---------------------------------------------------------------------------

@@ -430,35 +430,34 @@ def enumerate_simple_cycles(g: Graph, max_count: int = 100000
     """All simple cycles as canonical vertex tuples, plus an overflow flag.
 
     Backtracks from each minimal vertex, visiting only larger vertices, and
-    kills reflections by requiring second vertex < last vertex.  When the
-    count would exceed `max_count` the search stops and the flag is True.
+    kills reflections by requiring second vertex < last vertex; the path
+    is then already the canonical form of its cycle.  The search keeps an
+    explicit stack of neighbor iterators, so its depth is not bounded by
+    the interpreter's recursion limit.  When the count would exceed
+    `max_count` the search stops and the flag is True.
     """
     cycles: list[tuple[int, ...]] = []
-    overflow = False
+    nbrs = [sorted(a) for a in g.adj]
+    on_path = [False] * g.n
     for root in range(g.n):
         path = [root]
-        on_path = {root}
-
-        def dfs(u: int) -> bool:
-            for w in sorted(g.adj[u]):
-                if w == root and len(path) >= 3 and path[1] < path[-1]:
-                    if len(cycles) >= max_count:
-                        return False
-                    cycles.append(canonical_cycle(path))
-                elif w > root and w not in on_path:
+        stack = [iter(nbrs[root])]
+        while stack:
+            for w in stack[-1]:
+                if w == root:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        if len(cycles) >= max_count:
+                            return cycles, True
+                        cycles.append(tuple(path))
+                elif w > root and not on_path[w]:
                     path.append(w)
-                    on_path.add(w)
-                    ok = dfs(w)
-                    path.pop()
-                    on_path.remove(w)
-                    if not ok:
-                        return False
-            return True
-
-        if not dfs(root):
-            overflow = True
-            break
-    return cycles, overflow
+                    on_path[w] = True
+                    stack.append(iter(nbrs[w]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+    return cycles, False
 
 
 def four_cycles(g: Graph) -> list[tuple[int, ...]]:

@@ -7,8 +7,9 @@ lower bound.  A separate entry point re-verifies the structural results
 behind the pipeline on a given embedding and returns named verdicts.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .graphs import (DEFAULT_CHROMATIC_CAP, CapExceeded, InvariantViolation,
                      chromatic_number, find_domination, find_k23,
@@ -245,6 +246,22 @@ def _skip(name: str, reason: str) -> CheckVerdict:
     return CheckVerdict(name, "skipped", reason)
 
 
+@contextmanager
+def _guarded(out: list[CheckVerdict], name: str) -> Iterator[None]:
+    """Run one check; a RuntimeError raised inside it becomes the check's
+    fail verdict, with the error's message as detail.
+
+    A RecursionError still propagates: it says the check could not run,
+    not that a result failed.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise
+    except RuntimeError as exc:
+        out.append(CheckVerdict(name, "fail", str(exc)))
+
+
 def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
                     oracle_cap: int = DEFAULT_ORACLE_CYCLE_CAP,
                     chromatic_cap: int = DEFAULT_CHROMATIC_CAP
@@ -252,7 +269,9 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
     """Re-verify the structural results on one embedding.
 
     Each check gates on its own hypotheses and is skipped (with a reason)
-    when they fail; failures are reported, never raised.  The checks:
+    when they fail; failures are reported, never raised: a RuntimeError
+    inside a check (an InvariantViolation, an oracle disagreement) becomes
+    that check's fail verdict, and the later checks still run.  The checks:
 
     - k23_dichotomy: an all-facial quadrangulation is K(2,3) or is
       K(2,3)-free with no dominated neighborhood.
@@ -283,16 +302,17 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
     bip = is_bipartite(g).bipartite
 
     name = "k23_dichotomy"
-    if not (connected and facial is not None and facial.ok):
-        out.append(_skip(name, "needs an all-facial quadrangulation"))
-    elif is_k23(g):
-        out.append(_verdict(name, True, "graph is K(2,3)"))
-    else:
-        k23 = find_k23(g)
-        dom = find_domination(g)
-        out.append(_verdict(
-            name, k23 is None and dom is None,
-            f"k23 witness {k23}, domination witness {dom}"))
+    with _guarded(out, name):
+        if not (connected and facial is not None and facial.ok):
+            out.append(_skip(name, "needs an all-facial quadrangulation"))
+        elif is_k23(g):
+            out.append(_verdict(name, True, "graph is K(2,3)"))
+        else:
+            k23 = find_k23(g)
+            dom = find_domination(g)
+            out.append(_verdict(
+                name, k23 is None and dom is None,
+                f"k23 witness {k23}, domination witness {dom}"))
 
     hypotheses_ok = True
     try:
@@ -306,122 +326,131 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
         L = lovasz_complex(g)
 
     name = "vertex_kinds"
-    if L is None:
-        out.append(_skip(name, hypothesis_reason))
-    else:
-        others = [L.labels[i] for i, k in enumerate(L.kinds)
-                  if k is VertexKind.OTHER]
-        out.append(_verdict(name, not others,
-                            f"unexpected vertices {others[:3]}" if others
-                            else ""))
+    with _guarded(out, name):
+        if L is None:
+            out.append(_skip(name, hypothesis_reason))
+        else:
+            others = [L.labels[i] for i, k in enumerate(L.kinds)
+                      if k is VertexKind.OTHER]
+            out.append(_verdict(name, not others,
+                                f"unexpected vertices {others[:3]}" if others
+                                else ""))
 
     name = "double_cover_surface"
-    surface_ok = False
-    if L is None:
-        out.append(_skip(name, hypothesis_reason))
-    else:
-        verdict = check_surface(L.base)
-        fixed = nu_free_on_faces(L)
-        problems = []
-        if not verdict.is_surface:
-            problems.append(f"not a surface: {verdict.witness.kind}")
+    with _guarded(out, name):
+        surface_ok = False
+        if L is None:
+            out.append(_skip(name, hypothesis_reason))
         else:
-            chi_lo = complex_euler(L.base)
-            chi_s = len(trace_faces(e)) - g.num_edges + g.n
-            if chi_lo != 2 * chi_s:
-                problems.append(f"euler {chi_lo} != 2 * {chi_s}")
-        if fixed is not None:
-            problems.append(f"involution fixes face {fixed}")
-        if not problems:
-            quotient_complex(L)
-            surface_ok = True
-        out.append(_verdict(name, not problems, "; ".join(problems)))
+            verdict = check_surface(L.base)
+            fixed = nu_free_on_faces(L)
+            problems = []
+            if not verdict.is_surface:
+                problems.append(f"not a surface: {verdict.witness.kind}")
+            else:
+                chi_lo = complex_euler(L.base)
+                chi_s = len(trace_faces(e)) - g.num_edges + g.n
+                if chi_lo != 2 * chi_s:
+                    problems.append(f"euler {chi_lo} != 2 * {chi_s}")
+            if fixed is not None:
+                problems.append(f"involution fixes face {fixed}")
+            if not problems:
+                quotient_complex(L)
+                surface_ok = True
+            out.append(_verdict(name, not problems, "; ".join(problems)))
 
     name = "complex_orientability"
-    if L is None or not surface_ok:
-        out.append(_skip(name, "complex is not a suitable surface"))
-    else:
-        lo_orient = check_surface(L.base).surface.orientable
-        even_one_sided = has_even_one_sided_class(e).exists
-        out.append(_verdict(
-            name, lo_orient == (not even_one_sided),
-            f"complex orientable {lo_orient}, "
-            f"even one-sided class {even_one_sided}"))
+    with _guarded(out, name):
+        if L is None or not surface_ok:
+            out.append(_skip(name, "complex is not a suitable surface"))
+        else:
+            lo_orient = check_surface(L.base).surface.orientable
+            even_one_sided = has_even_one_sided_class(e).exists
+            out.append(_verdict(
+                name, lo_orient == (not even_one_sided),
+                f"complex orientable {lo_orient}, "
+                f"even one-sided class {even_one_sided}"))
 
     name = "genus_correspondence"
-    if L is None or not surface_ok:
-        out.append(_skip(name, "complex is not a suitable surface"))
-    else:
-        lo = check_surface(L.base).surface
-        s = surface_class(e)
-        if lo.orientable and lo.genus % 2 == 0:
-            ok = not s.orientable and s.genus == lo.genus + 1
-        elif not lo.orientable:
-            ok = (lo.genus % 2 == 0 and not s.orientable
-                  and s.genus == lo.genus // 2 + 1)
+    with _guarded(out, name):
+        if L is None or not surface_ok:
+            out.append(_skip(name, "complex is not a suitable surface"))
         else:
-            k = (lo.genus + 1) // 2
-            ok = (s.orientable and s.genus == k) or \
-                (not s.orientable and s.genus == 2 * k)
-        out.append(_verdict(name, ok,
-                            f"complex {lo.describe()}, base {s.describe()}"))
+            lo = check_surface(L.base).surface
+            s = surface_class(e)
+            if lo.orientable and lo.genus % 2 == 0:
+                ok = not s.orientable and s.genus == lo.genus + 1
+            elif not lo.orientable:
+                ok = (lo.genus % 2 == 0 and not s.orientable
+                      and s.genus == lo.genus // 2 + 1)
+            else:
+                k = (lo.genus + 1) // 2
+                ok = (s.orientable and s.genus == k) or \
+                    (not s.orientable and s.genus == 2 * k)
+            out.append(_verdict(
+                name, ok, f"complex {lo.describe()}, base {s.describe()}"))
 
     name = "non_facial_rejection"
-    if facial is not None and facial.ok:
-        out.append(_skip(name, "every 4-cycle is facial"))
-    elif not (connected and not bip and quad_ok and not is_k23(g)):
-        out.append(_skip(name, "needs a non-bipartite quadrangulation"))
-    else:
-        verdict = check_surface(lovasz_complex(g).base)
-        out.append(_verdict(
-            name, not verdict.is_surface,
-            f"witness {facial.witness}; "
-            + (verdict.witness.detail if verdict.witness else "no defect")))
+    with _guarded(out, name):
+        if facial is not None and facial.ok:
+            out.append(_skip(name, "every 4-cycle is facial"))
+        elif not (connected and not bip and quad_ok and not is_k23(g)):
+            out.append(_skip(name, "needs a non-bipartite quadrangulation"))
+        else:
+            verdict = check_surface(lovasz_complex(g).base)
+            out.append(_verdict(
+                name, not verdict.is_surface,
+                f"witness {facial.witness}; "
+                + (verdict.witness.detail if verdict.witness
+                   else "no defect")))
 
     name = "quotient_round_trip"
-    if L is None or not surface_ok:
-        out.append(_skip(name, "complex is not a suitable surface"))
-    else:
-        folded = lovasz_quotient_embedding(L)
-        same = embedded_isomorphic(folded, e)
-        out.append(_verdict(name, same,
-                            "" if same else "folded embedding differs"))
+    with _guarded(out, name):
+        if L is None or not surface_ok:
+            out.append(_skip(name, "complex is not a suitable surface"))
+        else:
+            folded = lovasz_quotient_embedding(L)
+            same = embedded_isomorphic(folded, e)
+            out.append(_verdict(name, same,
+                                "" if same else "folded embedding differs"))
 
     name = "gray_parity_agreement"
-    if not hypotheses_ok:
-        out.append(_skip(name, hypothesis_reason))
-    elif is_orientable_embedding(e):
-        out.append(_skip(name, "oddness is defined on non-orientable "
-                               "surfaces"))
-    else:
-        report_min = invariant_report(e, rule="min")
-        report_max = invariant_report(e, rule="max")
-        odd = oddness_functional(e)
-        problems = []
-        if (report_min.gray_count % 2 == 1) != odd:
-            problems.append("gray parity disagrees with the homological "
-                            "decision")
-        if report_min.gray_count % 2 != report_max.gray_count % 2:
-            problems.append("triangulation rules disagree")
-        if run_oracle:
-            verdict_oracle, _, _ = oddness_oracle(e, oracle_cap)
-            if verdict_oracle is not None and verdict_oracle != odd:
-                problems.append("cutting oracle disagrees")
-        out.append(_verdict(name, not problems, "; ".join(problems)))
+    with _guarded(out, name):
+        if not hypotheses_ok:
+            out.append(_skip(name, hypothesis_reason))
+        elif is_orientable_embedding(e):
+            out.append(_skip(name, "oddness is defined on non-orientable "
+                                   "surfaces"))
+        else:
+            report_min = invariant_report(e, rule="min")
+            report_max = invariant_report(e, rule="max")
+            odd = oddness_functional(e)
+            problems = []
+            if (report_min.gray_count % 2 == 1) != odd:
+                problems.append("gray parity disagrees with the homological "
+                                "decision")
+            if report_min.gray_count % 2 != report_max.gray_count % 2:
+                problems.append("triangulation rules disagree")
+            if run_oracle:
+                verdict_oracle, _, _ = oddness_oracle(e, oracle_cap)
+                if verdict_oracle is not None and verdict_oracle != odd:
+                    problems.append("cutting oracle disagrees")
+            out.append(_verdict(name, not problems, "; ".join(problems)))
 
     name = "chromatic_bound"
-    if not hypotheses_ok:
-        out.append(_skip(name, hypothesis_reason))
-    elif g.n > chromatic_cap:
-        out.append(_skip(name, f"graph larger than cap {chromatic_cap}"))
-    else:
-        try:
-            report = invariant_report(e)
-            chi, _ = chromatic_number(g, cap=chromatic_cap)
-            out.append(_verdict(
-                name, chi >= report.chromatic_lower_bound,
-                f"chromatic number {chi}, "
-                f"bound {report.chromatic_lower_bound}"))
-        except (HypothesisError, CapExceeded) as exc:
-            out.append(_skip(name, str(exc)))
+    with _guarded(out, name):
+        if not hypotheses_ok:
+            out.append(_skip(name, hypothesis_reason))
+        elif g.n > chromatic_cap:
+            out.append(_skip(name, f"graph larger than cap {chromatic_cap}"))
+        else:
+            try:
+                report = invariant_report(e)
+                chi, _ = chromatic_number(g, cap=chromatic_cap)
+                out.append(_verdict(
+                    name, chi >= report.chromatic_lower_bound,
+                    f"chromatic number {chi}, "
+                    f"bound {report.chromatic_lower_bound}"))
+            except (HypothesisError, CapExceeded) as exc:
+                out.append(_skip(name, str(exc)))
     return out

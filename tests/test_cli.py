@@ -249,6 +249,19 @@ class TestNoTracebacks:
             main(["check", fixture_path("k4-projective.emb.json")])
 
 
+def test_failing_check_gives_a_fail_verdict(capsys, monkeypatch,
+                                            fixture_path):
+    def raising(e, cap):
+        raise RuntimeError("oracle broke")
+    monkeypatch.setattr("loquad.invariants.oddness_oracle", raising)
+    code, report = run_json(capsys, ["verify", "--oracle", fixture_path(
+        "k4-projective.emb.json")])
+    assert code == EXIT_VERDICT
+    assert report["gray_parity_agreement"] == {"status": "fail",
+                                               "detail": "oracle broke"}
+    assert report["chromatic_bound"]["status"] == "pass"
+
+
 def test_optimized_mode_gives_identical_output(fixture_path):
     # the mathematical cross-checks are explicit, so python -O runs them too
     src = str(Path(loquad.__file__).resolve().parent.parent)

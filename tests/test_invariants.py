@@ -195,3 +195,28 @@ class TestVerifyTheorems:
             "needs an all-facial quadrangulation"
         assert verdicts["non_facial_rejection"].detail == \
             "needs a non-bipartite quadrangulation"
+
+    @pytest.mark.parametrize("exc", [InvariantViolation("w1 cross-check"),
+                                     RuntimeError("oddness disagreement")],
+                             ids=lambda exc: type(exc).__name__)
+    def test_runtime_error_in_a_check_becomes_fail(self, monkeypatch, k4p,
+                                                   exc):
+        clean = verify_theorems(k4p, run_oracle=True)
+
+        def raising(e, cap):
+            raise exc
+        monkeypatch.setattr("loquad.invariants.oddness_oracle", raising)
+        verdicts = verify_theorems(k4p, run_oracle=True)
+        assert [v.name for v in verdicts] == [v.name for v in clean]
+        for before, after in zip(clean, verdicts):
+            if after.name == "gray_parity_agreement":
+                assert (after.status, after.detail) == ("fail", str(exc))
+            else:
+                assert after == before
+
+    def test_recursion_error_in_a_check_still_raises(self, monkeypatch, k4p):
+        def too_deep(a, b):
+            raise RecursionError("too deep")
+        monkeypatch.setattr("loquad.invariants.embedded_isomorphic", too_deep)
+        with pytest.raises(RecursionError):
+            verify_theorems(k4p)
