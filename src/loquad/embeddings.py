@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         _assemble_lovasz)
@@ -258,16 +258,28 @@ def is_orientable_embedding(e: EmbeddedGraph) -> bool:
     all-positive; decided by BFS labeling.
     """
     g = e.graph
-    eps = [0] * g.n     # 0 marks an unlabeled vertex
-    for s in range(g.n):
+    return _signs_balanced(
+        g.n, lambda u: ((w, e.sign(u, w)) for w in g.adj[u]))
+
+
+def _signs_balanced(
+        n: int,
+        signed_neighbors: Callable[[int], Iterable[tuple[int, int]]]) -> bool:
+    """True iff the vertices 0..n-1 admit labels eps in {+1, -1} with
+    eps(w) = eps(u) * s for every pair (w, s) in `signed_neighbors(u)`.
+
+    BFS labeling; returns False at the first conflict.
+    """
+    eps = [0] * n       # 0 marks an unlabeled vertex
+    for s in range(n):
         if eps[s]:
             continue
         eps[s] = 1
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w in g.adj[u]:
-                want = eps[u] * e.sign(u, w)
+            for w, sign in signed_neighbors(u):
+                want = eps[u] * sign
                 if not eps[w]:
                     eps[w] = want
                     queue.append(w)
@@ -434,32 +446,6 @@ def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
     return embedded(len(keep), edges2, rot2, neg2, names2)
 
 
-def _signs_balanced(signed_adj: Sequence[Sequence[tuple[int, int]]]) -> bool:
-    """True iff the vertices admit labels eps in {+1, -1} with
-    eps(w) = eps(u) * s for every pair (w, s) in `signed_adj[u]`.
-
-    The BFS labeling of `is_orientable_embedding`, run on an explicit
-    signed edge list; that function walks the embedding itself, so that it
-    builds no lists.
-    """
-    eps = [0] * len(signed_adj)     # 0 marks an unlabeled vertex
-    for s in range(len(signed_adj)):
-        if eps[s]:
-            continue
-        eps[s] = 1
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w, sign in signed_adj[u]:
-                want = eps[u] * sign
-                if not eps[w]:
-                    eps[w] = want
-                    queue.append(w)
-                elif eps[w] != want:
-                    return False
-    return True
-
-
 def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     """Whether every component of the cut (and capped) surface is orientable.
 
@@ -515,6 +501,10 @@ def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
             b, s = side[v, u], s * factor[iv]
         signed_adj[a].append((b, s))
         signed_adj[b].append((a, s))
+    # The twisted closing pair mirrors `cut_along_cycle`; it never changes
+    # the verdict.  Cutting along a one-sided C leaves an orientable surface
+    # only if w1 is dual to C, and then every path between the two sides of
+    # C already has sign -1, so joining untwisted gives the same answer.
     for i in range(k):
         a_u, a_v = n + 2 * i, n + 2 * ((i + 1) % k)
         if i < k - 1 or not one_sided:
@@ -524,7 +514,7 @@ def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
         for a, b in pairs:
             signed_adj[a].append((b, s))
             signed_adj[b].append((a, s))
-    return _signs_balanced(signed_adj)
+    return _signs_balanced(len(signed_adj), signed_adj.__getitem__)
 
 
 # ---------------------------------------------------------------------------
