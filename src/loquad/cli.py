@@ -13,9 +13,10 @@ from .graphs import (DEFAULT_CHROMATIC_CAP, CapExceeded, GraphError,
                      chromatic_number, find_domination, find_k23,
                      is_bipartite, is_connected)
 from .complexes import ComplexError, HypothesisError, lovasz_complex
-from .surfaces import check_surface
+from .surfaces import check_surface, double_cover_branch
 from .embeddings import (DEFAULT_ORACLE_CYCLE_CAP, all_4cycles_facial,
-                         is_quadrangulation, surface_class)
+                         check_face_rule_hypotheses, is_quadrangulation,
+                         surface_class)
 from .invariants import invariant_report, verify_theorems
 from . import generators
 from .fileio import (FileFormatError, dump_embedding, dump_graph,
@@ -73,34 +74,10 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _branch(lo, base) -> tuple[str, bool]:
-    """Descriptive double-cover branch for the classification report.
-
-    The class of the complex determines the class of the base surface:
-    orientable even genus 2k covers non-orientable genus 2k+1;
-    non-orientable genus 2k covers non-orientable genus k+1; orientable
-    odd genus 2k-1 covers orientable genus k or non-orientable genus 2k.
-    """
-    if lo.orientable and lo.genus % 2 == 0:
-        name = "orientable-even-genus"
-        ok = not base.orientable and base.genus == lo.genus + 1
-    elif not lo.orientable:
-        name = "non-orientable"
-        ok = (lo.genus % 2 == 0 and not base.orientable
-              and base.genus == lo.genus // 2 + 1)
-    else:
-        name = "orientable-odd-genus"
-        k = (lo.genus + 1) // 2
-        ok = (base.orientable and base.genus == k) or \
-            (not base.orientable and base.genus == 2 * k)
-    return name, ok
-
-
 def cmd_classify(args) -> int:
     e = load_embedding(args.input)
     report: dict = {"hypotheses_ok": True, "hypothesis_failure": None}
     try:
-        from .embeddings import check_face_rule_hypotheses
         check_face_rule_hypotheses(e)
     except HypothesisError as exc:
         report["hypotheses_ok"] = False
@@ -112,7 +89,7 @@ def cmd_classify(args) -> int:
                            if verdict.witness else None)
     if verdict.is_surface:
         base = surface_class(e)
-        branch, consistent = _branch(verdict.surface, base)
+        branch, consistent = double_cover_branch(verdict.surface, base)
         report["lo_class"] = _surface_dict(verdict.surface)
         report["base_class"] = _surface_dict(base)
         report["branch"] = branch

@@ -296,27 +296,6 @@ def nu_free_on_faces(L: LovaszComplex) -> Optional[frozenset[int]]:
     return None
 
 
-@dataclass(frozen=True)
-class KindReport:
-    counts: dict
-    violations: tuple[Label, ...]    # labels tagged Other
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def classify_vertex_kinds(L: LovaszComplex) -> KindReport:
-    """Checks every vertex is a singleton, neighborhood or face diagonal."""
-    counts = {k: 0 for k in VertexKind}
-    bad = []
-    for lab, kind in zip(L.labels, L.kinds):
-        counts[kind] += 1
-        if kind is VertexKind.OTHER:
-            bad.append(lab)
-    return KindReport({k.value: v for k, v in counts.items()}, tuple(bad))
-
-
 def quotient_complex(L: LovaszComplex
                      ) -> tuple[SimplicialComplex, tuple[int, ...]]:
     """The orbit complex of the involution with the vertex projection.

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         _assemble_lovasz)
@@ -27,12 +28,20 @@ from .graphs import (CycleSpaceBasis, Edge, Graph, GraphError,
                      InvariantViolation, canonical_cycle, cycle_space_basis,
                      enumerate_simple_cycles, four_cycles, is_bipartite,
                      is_connected, is_k23, norm_edge)
-from .surfaces import SurfaceClass, check_surface, link_cycle
+from .surfaces import SurfaceClass, classify, link_cycle
 
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    """Graph with a cyclic neighbor order per vertex and a sign per edge."""
+    """Graph with a cyclic neighbor order per vertex and a sign per edge.
+
+    The analyses of the embedding are built once, on first use, and kept
+    with it: the face walks, the quadrangulation and facial verdicts, the
+    outcome of the face-rule hypotheses, the face-rule complex,
+    orientability and the oddness functional.  The public functions below
+    read them.  So neither an embedding nor its `signs` dict may be
+    changed after construction.
+    """
 
     graph: Graph
     rotations: tuple[tuple[int, ...], ...]
@@ -60,6 +69,84 @@ class EmbeddedGraph:
         rot = self.rotations[v]
         i = rot.index(u)
         return rot[(i + direction) % len(rot)]
+
+    @cached_property
+    def _walks(self) -> list[list[State]]:
+        return _face_state_walks(self)
+
+    @cached_property
+    def _quad(self) -> QuadVerdict:
+        for f in trace_faces(self):
+            if len(f) != 4 or not f.is_simple_cycle():
+                return QuadVerdict(False, f.boundary)
+        return QuadVerdict(True)
+
+    @cached_property
+    def _facial(self) -> FacialVerdict:
+        # a raise is not kept; a later call re-reads the kept quad verdict
+        quad = is_quadrangulation(self)
+        if not quad.ok:
+            raise HypothesisError("embedding is a quadrangulation",
+                                  f"face {quad.bad_face}")
+        facial = {f.canonical() for f in trace_faces(self)}
+        for c in four_cycles(self.graph):
+            if c not in facial:
+                return FacialVerdict(False, c)
+        return FacialVerdict(True)
+
+    @cached_property
+    def _hypothesis_failure(self) -> Optional[tuple[str, str]]:
+        """The first failed face-rule hypothesis and its detail, or None."""
+        g = self.graph
+        if not is_connected(g):
+            return "graph connected", ""
+        if is_bipartite(g).bipartite:
+            return "graph non-bipartite", ""
+        if is_k23(g):
+            return "graph not isomorphic to K(2,3)", ""
+        quad = is_quadrangulation(self)
+        if not quad.ok:
+            return "embedding is a quadrangulation", f"face {quad.bad_face}"
+        facial = all_4cycles_facial(self)
+        if not facial.ok:
+            return ("every 4-cycle is facial",
+                    f"non-facial cycle {facial.witness}")
+        return None
+
+    @cached_property
+    def _face_rule_complex(self) -> LovaszComplex:
+        check_face_rule_hypotheses(self)
+        g = self.graph
+        nb: list[Label] = [tuple(sorted(a)) for a in g.adj]
+        triangles: set[frozenset[Label]] = set()
+        for f in trace_faces(self):
+            a, b, c, d = f.boundary
+            for (x, z), (y, w) in (((a, c), (b, d)), ((b, d), (a, c))):
+                diag: Label = tuple(sorted((x, z)))
+                for s in (x, z):
+                    for t in (y, w):
+                        triangles.add(frozenset(((s,), diag, nb[t])))
+        labels = sorted({lab for t in triangles for lab in t})
+        index = {lab: i for i, lab in enumerate(labels)}
+        faces = [frozenset(index[lab] for lab in t) for t in triangles]
+        return _assemble_lovasz(g, labels, faces)
+
+    @cached_property
+    def _orientable(self) -> bool:
+        g = self.graph
+        return _signs_balanced(
+            g.n, lambda u: ((w, self.sign(u, w)) for w in g.adj[u]))
+
+    @cached_property
+    def _odd(self) -> bool:
+        triangles, cw, cp = _star_cocycles(self)
+        # Wu consistency check: the self-pairing of w1 is the Euler
+        # characteristic mod 2.
+        chi = euler_characteristic(self)
+        if _cup_product(triangles, cw, cw) != chi % 2:
+            raise InvariantViolation(
+                f"w1 squared disagrees with the Euler characteristic {chi}")
+        return _cup_product(triangles, cp, cw) == 1
 
 
 def embedded(n: int, edges: Iterable[tuple[int, int]],
@@ -161,12 +248,11 @@ def _face_state_walks(e: EmbeddedGraph) -> list[list[State]]:
 
 def trace_faces(e: EmbeddedGraph) -> list[FaceWalk]:
     """All face boundary walks of the embedding."""
-    return [FaceWalk(tuple((u, v) for u, v, _ in walk))
-            for walk in _face_state_walks(e)]
+    return [FaceWalk(tuple((u, v) for u, v, _ in walk)) for walk in e._walks]
 
 
 def euler_characteristic(e: EmbeddedGraph) -> int:
-    return e.graph.n - e.graph.num_edges + len(trace_faces(e))
+    return e.graph.n - e.graph.num_edges + len(e._walks)
 
 
 def surface_class(e: EmbeddedGraph) -> SurfaceClass:
@@ -187,10 +273,7 @@ class QuadVerdict:
 
 def is_quadrangulation(e: EmbeddedGraph) -> QuadVerdict:
     """Every face walk is a simple 4-cycle."""
-    for f in trace_faces(e):
-        if len(f) != 4 or not f.is_simple_cycle():
-            return QuadVerdict(False, f.boundary)
-    return QuadVerdict(True)
+    return e._quad
 
 
 @dataclass(frozen=True)
@@ -200,16 +283,9 @@ class FacialVerdict:
 
 
 def all_4cycles_facial(e: EmbeddedGraph) -> FacialVerdict:
-    """Whether every simple 4-cycle of the graph bounds a face."""
-    quad = is_quadrangulation(e)
-    if not quad.ok:
-        raise HypothesisError("embedding is a quadrangulation",
-                              f"face {quad.bad_face}")
-    facial = {f.canonical() for f in trace_faces(e)}
-    for c in four_cycles(e.graph):
-        if c not in facial:
-            return FacialVerdict(False, c)
-    return FacialVerdict(True)
+    """Whether every simple 4-cycle of the graph bounds a face; raises on
+    an embedding that is not a quadrangulation."""
+    return e._facial
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +333,7 @@ def is_orientable_embedding(e: EmbeddedGraph) -> bool:
     Equivalent to the sign assignment being switching-equivalent to
     all-positive; decided by BFS labeling.
     """
-    g = e.graph
-    return _signs_balanced(
-        g.n, lambda u: ((w, e.sign(u, w)) for w in g.adj[u]))
+    return e._orientable
 
 
 def _signs_balanced(
@@ -365,28 +439,39 @@ def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
     k = len(cycle)
     # Normalize local orientations so the open path carries +1 signs; the
     # closing sign is then the (gauge-invariant) one-sidedness of the cycle.
-    work = e
+    # Walking the path, a vertex is switched (as by `switch_vertex`) when
+    # its incoming path edge is negative after its predecessor's switch.
+    switched = set()
     for i in range(1, k):
-        if work.sign(cycle[i - 1], cycle[i]) < 0:
-            work = switch_vertex(work, cycle[i])
-    sigma = work.sign(cycle[k - 1], cycle[0])
+        if (e.sign(cycle[i - 1], cycle[i]) < 0) != (cycle[i - 1] in switched):
+            switched.add(cycle[i])
+    gauged = [rot[::-1] if v in switched else rot
+              for v, rot in enumerate(e.rotations)]
+    signs = {(u, v): -s if (u in switched) != (v in switched) else s
+             for (u, v), s in e.signs.items()}
+    sigma = signs[norm_edge(cycle[k - 1], cycle[0])]
 
-    g = work.graph
+    g = e.graph
     on_cycle = {v: i for i, v in enumerate(cycle)}
-    # new ids: untouched vertices keep theirs, copies are appended
-    copy_a = {v: g.n + 2 * i for i, v in enumerate(cycle)}
-    copy_b = {v: g.n + 2 * i + 1 for i, v in enumerate(cycle)}
+    # new ids: the untouched vertices in their order, then two copies of
+    # each cycle vertex
+    kept = [v for v in range(g.n) if v not in on_cycle]
+    new_id = {v: i for i, v in enumerate(kept)}
+    copy_a = {v: len(kept) + 2 * i for i, v in enumerate(cycle)}
+    copy_b = {v: len(kept) + 2 * i + 1 for i, v in enumerate(cycle)}
+    arcs = {}     # v on cycle -> its left and right rotation arcs
     sides: dict[int, dict[int, int]] = {}    # v on cycle -> neighbor -> copy
     for i, v in enumerate(cycle):
         nxt, prv = cycle[(i + 1) % k], cycle[(i - 1) % k]
-        left = _arc_between(work.rotations[v], nxt, prv)
-        right = _arc_between(work.rotations[v], prv, nxt)
+        left = _arc_between(gauged[v], nxt, prv)
+        right = _arc_between(gauged[v], prv, nxt)
+        arcs[v] = left, right
         sides[v] = {u: copy_a[v] for u in left}
         sides[v].update({u: copy_b[v] for u in right})
 
     def image(v: int, seen_from: int) -> int:
         if v not in on_cycle:
-            return v
+            return new_id[v]
         return sides[v][seen_from]
 
     edges: list[tuple[int, int]] = []
@@ -397,9 +482,9 @@ def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
             continue    # cycle edges handled below
         a, b = image(u, v), image(v, u)
         edges.append((a, b))
-        if work.sign(u, v) < 0:
+        if signs[u, v] < 0:
             neg.append((a, b))
-    succ_a, succ_b = {}, {}
+    succ, pred = {}, {}     # copy -> next / previous copy along the cycle
     for i in range(k):
         u, v = cycle[i], cycle[(i + 1) % k]
         if i < k - 1 or sigma > 0:
@@ -411,39 +496,20 @@ def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
         edges.extend([ea, eb])
         if i == k - 1 and sigma < 0:
             neg.extend([ea, eb])
-        succ_a[u], succ_b[u] = ea[1], eb[1]
-    pred_a = {cycle[(i + 1) % k]: (copy_a[cycle[i]] if i < k - 1 or sigma > 0
-                                   else copy_b[cycle[i]])
-              for i in range(k)}
-    pred_b = {cycle[(i + 1) % k]: (copy_b[cycle[i]] if i < k - 1 or sigma > 0
-                                   else copy_a[cycle[i]])
-              for i in range(k)}
+        for a, b in (ea, eb):
+            succ[a], pred[b] = b, a
 
-    rotations: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        if v in on_cycle:
-            rotations.append(())    # placeholder, replaced by copies
-        else:
-            rotations.append(tuple(image(u, v) for u in work.rotations[v]))
-    names = list(g.names) + [""] * (2 * k)
-    for i, v in enumerate(cycle):
-        nxt, prv = cycle[(i + 1) % k], cycle[(i - 1) % k]
-        left = _arc_between(work.rotations[v], nxt, prv)
-        right = _arc_between(work.rotations[v], prv, nxt)
-        rotations.append(tuple([succ_a[v]] + [image(u, v) for u in left]
-                               + [pred_a[v]]))
-        rotations.append(tuple([pred_b[v]] + [image(u, v) for u in right]
-                               + [succ_b[v]]))
-        names[copy_a[v]] = g.names[v] + "'"
-        names[copy_b[v]] = g.names[v] + "''"
-    # drop the placeholder slots of the original cycle vertices by compacting
-    keep = [v for v in range(g.n + 2 * k) if v not in on_cycle]
-    remap = {v: i for i, v in enumerate(keep)}
-    edges2 = [(remap[a], remap[b]) for a, b in edges]
-    neg2 = [(remap[a], remap[b]) for a, b in neg]
-    rot2 = [tuple(remap[u] for u in rotations[v]) for v in keep]
-    names2 = [names[v] for v in keep]
-    return embedded(len(keep), edges2, rot2, neg2, names2)
+    rotations = [tuple(image(u, v) for u in gauged[v]) for v in kept]
+    names = [g.names[v] for v in kept]
+    for v in cycle:
+        left, right = arcs[v]
+        a, b = copy_a[v], copy_b[v]
+        rotations.append(tuple([succ[a]] + [image(u, v) for u in left]
+                               + [pred[a]]))
+        rotations.append(tuple([pred[b]] + [image(u, v) for u in right]
+                               + [succ[b]]))
+        names += [g.names[v] + "'", g.names[v] + "''"]
+    return embedded(len(names), edges, rotations, neg, names)
 
 
 def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
@@ -552,7 +618,7 @@ def _star_cocycles(e: EmbeddedGraph
     triangles = []
     cw = {ed: (1 if s == -1 else 0) for ed, s in e.signs.items()}
     cp = {ed: 1 for ed in e.signs}
-    for fi, walk in enumerate(_face_state_walks(e)):
+    for fi, walk in enumerate(e._walks):
         x = n + fi
         corners = [v for _, v, _ in walk]
         if len(set(corners)) != len(corners):
@@ -602,14 +668,7 @@ def oddness_functional(e: EmbeddedGraph) -> bool:
     product.  Faces must be simple even cycles so that both classes
     descend to the surface.
     """
-    triangles, cw, cp = _star_cocycles(e)
-    # Wu consistency check: the self-pairing of w1 is the Euler
-    # characteristic mod 2.
-    chi = euler_characteristic(e)
-    if _cup_product(triangles, cw, cw) != chi % 2:
-        raise InvariantViolation(
-            f"w1 squared disagrees with the Euler characteristic {chi}")
-    return _cup_product(triangles, cp, cw) == 1
+    return e._odd
 
 
 DEFAULT_ORACLE_CYCLE_CAP = 200000
@@ -678,7 +737,9 @@ def embedded_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
     """Graph isomorphism carrying the face-walk multiset of a onto b's.
 
     Face walks are compared up to rotation and reflection.  Backtracking
-    over vertices with degree and incident-face-length pruning.
+    over vertices with degree and incident-face-length pruning, on an
+    explicit stack, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     ga, gb = a.graph, b.graph
     if ga.n != gb.n or ga.num_edges != gb.num_edges:
@@ -699,37 +760,43 @@ def embedded_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
                         for f in fa)
         return mapped == target_faces
 
-    def extend(i: int) -> bool:
-        if i == ga.n:
-            return faces_match()
-        v = order[i]
-        # same-index candidate first: round-trip checks usually map a graph
-        # onto a relabeling of itself
-        candidates = [v] + [w for w in range(gb.n) if w != v]
-        for w in candidates:
-            if used[w] or pa[v] != pb[w] or ga.degree(v) != gb.degree(w):
-                continue
-            ok = True
-            for x in ga.adj[v]:
-                if mapping[x] >= 0 and mapping[x] not in gb.adj[w]:
-                    ok = False
-                    break
-            if ok:
-                for x in range(ga.n):
-                    if mapping[x] >= 0 and x not in ga.adj[v] \
-                            and mapping[x] in gb.adj[w]:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
+    def fits(v: int, w: int) -> bool:
+        if used[w] or pa[v] != pb[w] or ga.degree(v) != gb.degree(w):
+            return False
+        for x in ga.adj[v]:
+            if mapping[x] >= 0 and mapping[x] not in gb.adj[w]:
+                return False
+        for x in range(ga.n):
+            if mapping[x] >= 0 and x not in ga.adj[v] \
+                    and mapping[x] in gb.adj[w]:
+                return False
+        return True
 
-    return extend(0)
+    def candidates(v: int) -> Iterator[int]:
+        # same-index candidate first: round-trip checks usually map a graph
+        # onto a relabeling of itself.  Each candidate is tested when it is
+        # drawn, after the deeper levels have been undone.
+        return (w for w in [v] + [w for w in range(gb.n) if w != v]
+                if fits(v, w))
+
+    # one candidate iterator per mapped level of `order`
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if mapping[v] >= 0:     # back at this level: undo its last choice
+            used[mapping[v]] = False
+            mapping[v] = -1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used[w] = True
+        if len(stack) < ga.n:
+            stack.append(candidates(order[len(stack)]))
+        elif faces_match():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -737,47 +804,20 @@ def embedded_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 def check_face_rule_hypotheses(e: EmbeddedGraph) -> None:
-    """The hypotheses of the face-rule construction; raises on violation."""
-    if not is_connected(e.graph):
-        raise HypothesisError("graph connected")
-    if is_bipartite(e.graph).bipartite:
-        raise HypothesisError("graph non-bipartite")
-    if is_k23(e.graph):
-        raise HypothesisError("graph not isomorphic to K(2,3)")
-    quad = is_quadrangulation(e)
-    if not quad.ok:
-        raise HypothesisError("embedding is a quadrangulation",
-                              f"face {quad.bad_face}")
-    facial = all_4cycles_facial(e)
-    if not facial.ok:
-        raise HypothesisError("every 4-cycle is facial",
-                              f"non-facial cycle {facial.witness}")
+    """The hypotheses of the face-rule construction; raises on violation,
+    the same error on every call, from one check per embedding."""
+    if e._hypothesis_failure is not None:
+        raise HypothesisError(*e._hypothesis_failure)
 
 
 def lovasz_from_quadrangulation(e: EmbeddedGraph) -> LovaszComplex:
     """Build the Lovász complex face by face: eight triangles per quad.
 
     A face a-b-c-d contributes, for each diagonal, the four triangles
-    singleton < diagonal < neighborhood visible in the face.
+    singleton < diagonal < neighborhood visible in the face.  Raises when
+    the face-rule hypotheses fail.
     """
-    check_face_rule_hypotheses(e)
-    g = e.graph
-
-    def nb(v: int) -> Label:
-        return tuple(sorted(g.adj[v]))
-
-    triangles: set[frozenset[Label]] = set()
-    for f in trace_faces(e):
-        a, b, c, d = f.boundary
-        for (x, z), (y, w) in (((a, c), (b, d)), ((b, d), (a, c))):
-            diag: Label = tuple(sorted((x, z)))
-            for s in (x, z):
-                for t in (y, w):
-                    triangles.add(frozenset(((s,), diag, nb(t))))
-    labels = sorted({lab for t in triangles for lab in t})
-    index = {lab: i for i, lab in enumerate(labels)}
-    faces = [frozenset(index[lab] for lab in t) for t in triangles]
-    return _assemble_lovasz(g, labels, faces)
+    return e._face_rule_complex
 
 
 def rotation_system_of_surface(K) -> EmbeddedGraph:
@@ -787,10 +827,7 @@ def rotation_system_of_surface(K) -> EmbeddedGraph:
     edge is +1 iff the two endpoints' rotations pick opposite triangles as
     the successor across it.
     """
-    verdict = check_surface(K)
-    if not verdict.is_surface:
-        raise HypothesisError("complex is a closed surface",
-                              verdict.witness.detail if verdict.witness else "")
+    classify(K)
     rots = [tuple(link_cycle(K, v)) for v in range(K.num_vertices)]
     skel = K.skeleton_graph()
 
@@ -828,10 +865,7 @@ def lovasz_quotient_embedding(L: LovaszComplex) -> EmbeddedGraph:
     singleton representatives, and signs compose the surface signs with the
     orientation behavior of the involution at each vertex.
     """
-    verdict = check_surface(L.base)
-    if not verdict.is_surface:
-        raise HypothesisError("Lovász complex is a closed surface",
-                              verdict.witness.detail if verdict.witness else "")
+    classify(L.base)
     if any(k is VertexKind.OTHER for k in L.kinds):
         raise HypothesisError("every vertex is singleton/neighborhood/diagonal")
     g = L.graph

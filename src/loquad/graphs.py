@@ -118,12 +118,6 @@ def common_neighbors(g: Graph, a: Iterable[int]) -> frozenset[int]:
     return _from_mask(common_neighbors_mask(g, _to_mask(a)))
 
 
-def cn_closure(g: Graph, a: Iterable[int]) -> frozenset[int]:
-    """The double common-neighbor image CN(CN(a))."""
-    m = common_neighbors_mask(g, common_neighbors_mask(g, _to_mask(a)))
-    return _from_mask(m)
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     seen = [False] * g.n
     comps = []
@@ -319,26 +313,6 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHROMATIC_CAP
 
 
 # ---------------------------------------------------------------------------
-# Kronecker (bipartite) double cover
-# ---------------------------------------------------------------------------
-
-def kronecker_cover(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """The bipartite double cover on (v, layer), with the layer-flip involution.
-
-    Vertex (v, layer) is encoded as v + layer * n.
-    """
-    edges = []
-    for u, v in g.edges:
-        edges.append((u, v + g.n))
-        edges.append((v, u + g.n))
-    names = tuple(f"{g.names[v]}+" for v in range(g.n)) + \
-        tuple(f"{g.names[v]}-" for v in range(g.n))
-    cover = Graph.from_edges(2 * g.n, edges, names)
-    involution = tuple((v + g.n) % (2 * g.n) for v in range(2 * g.n))
-    return cover, involution
-
-
-# ---------------------------------------------------------------------------
 # Cycle space over GF(2)
 # ---------------------------------------------------------------------------
 
@@ -475,56 +449,3 @@ def four_cycles(g: Graph) -> list[tuple[int, ...]]:
     out.sort()
     return out
 
-
-# ---------------------------------------------------------------------------
-# Graph isomorphism (desk scale)
-# ---------------------------------------------------------------------------
-
-def _iso_signature(g: Graph, v: int) -> tuple:
-    return (g.degree(v), tuple(sorted(g.degree(w) for w in g.adj[v])))
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
-    """A vertex bijection g -> h preserving adjacency, or None.
-
-    Plain backtracking with degree-profile pruning; intended for the small
-    instances this library works with.
-    """
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return None
-    sig_g = [_iso_signature(g, v) for v in range(g.n)]
-    sig_h = [_iso_signature(h, v) for v in range(h.n)]
-    if sorted(sig_g) != sorted(sig_h):
-        return None
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if used[w] or sig_g[v] != sig_h[w]:
-                continue
-            ok = True
-            for x in g.adj[v]:
-                if mapping[x] >= 0 and mapping[x] not in h.adj[w]:
-                    ok = False
-                    break
-            if ok:
-                for x in range(g.n):
-                    if mapping[x] >= 0 and x not in g.adj[v] \
-                            and mapping[x] in h.adj[w]:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return tuple(mapping) if extend(0) else None

@@ -16,16 +16,16 @@ from .graphs import (DEFAULT_CHROMATIC_CAP, CapExceeded, InvariantViolation,
                      is_bipartite, is_connected, is_k23)
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         lovasz_complex, nu_free_on_faces, quotient_complex)
-from .surfaces import SurfaceClass, check_surface, euler_characteristic as \
-    complex_euler
+from .surfaces import (SurfaceClass, check_surface, classify,
+                       double_cover_branch)
 from .embeddings import (DEFAULT_ORACLE_CYCLE_CAP, EmbeddedGraph,
                          all_4cycles_facial, check_face_rule_hypotheses,
-                         embedded_isomorphic, has_even_one_sided_class,
-                         is_odd_quadrangulation, is_orientable_embedding,
-                         is_quadrangulation, lovasz_from_quadrangulation,
-                         lovasz_quads, lovasz_quotient_embedding,
-                         oddness_functional, oddness_oracle, surface_class,
-                         trace_faces)
+                         embedded_isomorphic, euler_characteristic,
+                         has_even_one_sided_class, is_odd_quadrangulation,
+                         is_orientable_embedding, is_quadrangulation,
+                         lovasz_from_quadrangulation, lovasz_quads,
+                         lovasz_quotient_embedding, oddness_functional,
+                         oddness_oracle, surface_class)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +179,8 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     coindex <= cohom-index <= index and the gray/cyclic-count congruence
     are asserted before reporting.
     """
-    check_face_rule_hypotheses(e)
     L = lovasz_from_quadrangulation(e)
-    verdict = check_surface(L.base)
-    if not verdict.is_surface:
-        raise HypothesisError("complex is a closed surface",
-                              verdict.witness.detail if verdict.witness
-                              else "")
+    lo_class = classify(L.base)
     labeling = build_labeling(L)
     quads = labeled_quads(L)
     triangles = symmetric_triangulation(L, labeling, rule)
@@ -204,7 +199,6 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
                 f"({odd})")
     # on surfaces the cohomological index equals the index
     ind = cohom_ind
-    lo_class = verdict.surface
     coind = 2 if (lo_class.orientable and lo_class.genus == 0) else 1
     if not coind <= cohom_ind <= ind:
         raise InvariantViolation(
@@ -336,9 +330,10 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
                                 f"unexpected vertices {others[:3]}" if others
                                 else ""))
 
+    # the class of the complex, once it is known to be a suitable surface
+    lo: Optional[SurfaceClass] = None
     name = "double_cover_surface"
     with _guarded(out, name):
-        surface_ok = False
         if L is None:
             out.append(_skip(name, hypothesis_reason))
         else:
@@ -348,23 +343,23 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
             if not verdict.is_surface:
                 problems.append(f"not a surface: {verdict.witness.kind}")
             else:
-                chi_lo = complex_euler(L.base)
-                chi_s = len(trace_faces(e)) - g.num_edges + g.n
+                chi_lo = verdict.surface.euler
+                chi_s = euler_characteristic(e)
                 if chi_lo != 2 * chi_s:
                     problems.append(f"euler {chi_lo} != 2 * {chi_s}")
             if fixed is not None:
                 problems.append(f"involution fixes face {fixed}")
             if not problems:
                 quotient_complex(L)
-                surface_ok = True
+                lo = verdict.surface
             out.append(_verdict(name, not problems, "; ".join(problems)))
 
     name = "complex_orientability"
     with _guarded(out, name):
-        if L is None or not surface_ok:
+        if lo is None:
             out.append(_skip(name, "complex is not a suitable surface"))
         else:
-            lo_orient = check_surface(L.base).surface.orientable
+            lo_orient = lo.orientable
             even_one_sided = has_even_one_sided_class(e).exists
             out.append(_verdict(
                 name, lo_orient == (not even_one_sided),
@@ -373,20 +368,11 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
 
     name = "genus_correspondence"
     with _guarded(out, name):
-        if L is None or not surface_ok:
+        if lo is None:
             out.append(_skip(name, "complex is not a suitable surface"))
         else:
-            lo = check_surface(L.base).surface
             s = surface_class(e)
-            if lo.orientable and lo.genus % 2 == 0:
-                ok = not s.orientable and s.genus == lo.genus + 1
-            elif not lo.orientable:
-                ok = (lo.genus % 2 == 0 and not s.orientable
-                      and s.genus == lo.genus // 2 + 1)
-            else:
-                k = (lo.genus + 1) // 2
-                ok = (s.orientable and s.genus == k) or \
-                    (not s.orientable and s.genus == 2 * k)
+            _, ok = double_cover_branch(lo, s)
             out.append(_verdict(
                 name, ok, f"complex {lo.describe()}, base {s.describe()}"))
 
@@ -406,7 +392,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
 
     name = "quotient_round_trip"
     with _guarded(out, name):
-        if L is None or not surface_ok:
+        if lo is None:
             out.append(_skip(name, "complex is not a suitable surface"))
         else:
             folded = lovasz_quotient_embedding(L)

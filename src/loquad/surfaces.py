@@ -95,7 +95,7 @@ def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
         return SurfaceVerdict(False, SurfaceDefect(
             "disconnected", f"{len(comps)} components"))
     chi = euler_characteristic(K)
-    orient = orientability(K, _checked=True)
+    orient = _coherently_orientable(K)
     genus = (2 - chi) // 2 if orient else 2 - chi
     return SurfaceVerdict(True, None, SurfaceClass(orient, genus, chi))
 
@@ -109,17 +109,17 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return K.num_vertices - len(K.edge_set()) + len(K.triangles())
 
 
-def orientability(K: SimplicialComplex, _checked: bool = False) -> bool:
-    """Whether coherent triangle orientations exist (surface input only).
+def orientability(K: SimplicialComplex) -> bool:
+    """Whether coherent triangle orientations exist (surface input only)."""
+    return classify(K).orientable
+
+
+def _coherently_orientable(K: SimplicialComplex) -> bool:
+    """Whether coherent triangle orientations exist, for a closed surface.
 
     Propagates orientations across shared edges breadth-first; a conflict
     means non-orientable.
     """
-    if not _checked:
-        v = check_surface(K)
-        if not v.is_surface:
-            raise HypothesisError("complex is a closed surface",
-                                  v.witness.detail if v.witness else "")
     # orientation of a triangle: its three darts (a, b), (b, c), (c, a)
     darts: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
     for start in K.triangles():
@@ -152,3 +152,27 @@ def classify(K: SimplicialComplex) -> SurfaceClass:
                               v.witness.detail if v.witness else "")
     assert v.surface is not None
     return v.surface
+
+
+def double_cover_branch(lo: SurfaceClass, base: SurfaceClass
+                        ) -> tuple[str, bool]:
+    """The double-cover branch of the complex class `lo`, and whether the
+    base surface class is the one that branch determines.
+
+    Orientable even genus 2k covers non-orientable genus 2k+1;
+    non-orientable genus 2k covers non-orientable genus k+1; orientable
+    odd genus 2k-1 covers orientable genus k or non-orientable genus 2k.
+    """
+    if lo.orientable and lo.genus % 2 == 0:
+        name = "orientable-even-genus"
+        ok = not base.orientable and base.genus == lo.genus + 1
+    elif not lo.orientable:
+        name = "non-orientable"
+        ok = (lo.genus % 2 == 0 and not base.orientable
+              and base.genus == lo.genus // 2 + 1)
+    else:
+        name = "orientable-odd-genus"
+        k = (lo.genus + 1) // 2
+        ok = (base.orientable and base.genus == k) or \
+            (not base.orientable and base.genus == 2 * k)
+    return name, ok

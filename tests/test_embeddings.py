@@ -152,6 +152,11 @@ class TestEmbeddedIsomorphism:
     def test_distinguishes_klein_from_torus_grid(self, t33):
         assert not embedded_isomorphic(t33, klein_grid(3, 3, 0))
 
+    def test_depth_is_not_bounded_by_recursion_limit(self):
+        # 1,225 vertices, one backtracking level each
+        e = klein_grid(35, 35, 0)
+        assert embedded_isomorphic(e, klein_grid(35, 35, 0))
+
 
 class TestQuotientRoundTrip:
     def test_round_trip_on_quadrangulations(self, k4p, t33, klein_odd):

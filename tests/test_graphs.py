@@ -1,12 +1,11 @@
 import pytest
 
 from loquad.graphs import (CapExceeded, Graph, GraphError, canonical_cycle,
-                           chromatic_number, cn_closure, common_neighbors,
+                           chromatic_number, common_neighbors,
                            connected_components, cycle_space_basis,
                            enumerate_simple_cycles, find_domination,
-                           find_isomorphism, find_k23, four_cycles,
-                           is_bipartite, is_connected, is_k23,
-                           kronecker_cover, norm_edge)
+                           find_k23, four_cycles, is_bipartite, is_connected,
+                           is_k23, norm_edge)
 
 
 def cycle_graph(n):
@@ -52,14 +51,6 @@ class TestCommonNeighbors:
         small = common_neighbors(fig1, [2])
         large = common_neighbors(fig1, [2, 4])
         assert large <= small
-
-    def test_closure_is_idempotent(self, fig1):
-        a = cn_closure(fig1, [1])
-        assert cn_closure(fig1, a) == a
-
-    def test_closure_contains_argument(self, fig1):
-        for seed in ([0], [1, 3], [2, 4]):
-            assert set(seed) <= cn_closure(fig1, seed)
 
 
 class TestBipartite:
@@ -125,21 +116,6 @@ class TestColoring:
             chromatic_number(complete_graph(5), cap=4)
 
 
-class TestKroneckerCover:
-    def test_cover_of_odd_cycle_is_double_cycle(self):
-        cover, inv = kronecker_cover(cycle_graph(5))
-        assert find_isomorphism(cover, cycle_graph(10)) is not None
-        assert all(inv[inv[v]] == v for v in range(10))
-
-    def test_cover_of_even_cycle_disconnects(self):
-        cover, _ = kronecker_cover(cycle_graph(6))
-        assert len(connected_components(cover)) == 2
-
-    def test_cover_is_bipartite(self, fig1):
-        cover, _ = kronecker_cover(fig1)
-        assert is_bipartite(cover).bipartite
-
-
 class TestCycleSpace:
     def test_fundamental_cycle_count(self, fig1):
         basis = cycle_space_basis(fig1)
@@ -176,21 +152,6 @@ class TestCycleEnumeration:
         cycles, overflow = enumerate_simple_cycles(complete_graph(6),
                                                    max_count=5)
         assert overflow and len(cycles) == 5
-
-
-class TestIsomorphism:
-    def test_finds_cycle_relabeling(self):
-        g = cycle_graph(6)
-        h = g.relabeled([2, 4, 0, 5, 1, 3])
-        iso = find_isomorphism(g, h)
-        assert iso is not None
-        for u, v in g.edges:
-            assert iso[v] in h.adj[iso[u]]
-
-    def test_distinguishes_nonisomorphic(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        h = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-        assert find_isomorphism(g, h) is None
 
 
 def test_connectivity(fig1):

@@ -1,7 +1,9 @@
 import pytest
 
+from loquad import embeddings
 from loquad.complexes import HypothesisError, lovasz_complex
-from loquad.embeddings import embedded, lovasz_from_quadrangulation
+from loquad.embeddings import (EmbeddedGraph, embedded,
+                               lovasz_from_quadrangulation)
 from loquad.generators import klein_grid, torus_grid
 from loquad.graphs import Graph, InvariantViolation, chromatic_number
 from loquad.invariants import (build_labeling, cyclic_quad_count, gray_count,
@@ -220,3 +222,44 @@ class TestVerifyTheorems:
         monkeypatch.setattr("loquad.invariants.embedded_isomorphic", too_deep)
         with pytest.raises(RecursionError):
             verify_theorems(k4p)
+
+
+# ---------------------------------------------------------------------------
+# Work counts: one analysis per embedding
+# ---------------------------------------------------------------------------
+
+def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
+    walked, assembled = [], []
+    walks = embeddings._face_state_walks
+    assemble = embeddings._assemble_lovasz
+
+    def counting_walks(e):
+        walked.append(e)
+        return walks(e)
+
+    def counting_assemble(g, labels, faces):
+        assembled.append(g)
+        return assemble(g, labels, faces)
+
+    def fresh(e):
+        # the generators' self-checks have analysed their own object
+        return EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+
+    report_input = fresh(klein_grid(5, 5, 0))
+    verify_input = fresh(klein_grid(5, 7, 0))
+    monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
+    monkeypatch.setattr(embeddings, "_assemble_lovasz", counting_assemble)
+    e = report_input
+    first = invariant_report(e)
+    assert walked == [e] and len(assembled) == 1
+    assert invariant_report(e) == first
+    assert walked == [e] and len(assembled) == 1
+
+    walked.clear()
+    assembled.clear()
+    e = verify_input
+    verdicts = verify_theorems(e)
+    assert all(v.passed for v in verdicts), verdicts
+    # the input once, then the folded embedding of quotient_round_trip
+    assert len(walked) == 2 and walked[0] is e and walked[1] is not e
+    assert len(assembled) == 1
