@@ -9,14 +9,13 @@ import argparse
 import sys
 from typing import Optional
 
-from .graphs import (DEFAULT_CHROMATIC_CAP, CapExceeded, GraphError,
-                     chromatic_number, find_domination, find_k23,
-                     is_bipartite, is_connected)
+from .graphs import (DEFAULT_CHROMATIC_CAP, DEFAULT_ORACLE_CYCLE_CAP,
+                     CapExceeded, GraphError, chromatic_number,
+                     find_domination, find_k23, is_bipartite, is_connected)
 from .complexes import ComplexError, HypothesisError, lovasz_complex
 from .surfaces import check_surface, double_cover_branch
-from .embeddings import (DEFAULT_ORACLE_CYCLE_CAP, all_4cycles_facial,
-                         check_face_rule_hypotheses, is_quadrangulation,
-                         surface_class)
+from .embeddings import (all_4cycles_facial, check_face_rule_hypotheses,
+                         is_quadrangulation, surface_class)
 from .invariants import invariant_report, verify_theorems
 from . import generators
 from .fileio import (FileFormatError, dump_embedding, dump_graph,

@@ -41,7 +41,8 @@ class SimplicialComplex:
 
     The incidences are built once, on first use, and kept with the
     complex: the faces of each dimension, the triangles at each vertex and
-    the triangles on each edge.
+    the triangles on each edge, the vertex link cycles and the
+    closed-surface verdict.
     """
 
     labels: tuple[Label, ...]
@@ -120,10 +121,49 @@ class SimplicialComplex:
         """The triangles containing the edge (empty for a non-edge)."""
         return self._stars[1].get(edge, ())
 
+    @cached_property
+    def _links(self) -> tuple[Optional[tuple[int, ...]], ...]:
+        """Each vertex link in cyclic order, None where it is not one cycle."""
+        return tuple(_link_walk(self.vertex_star(v), v)
+                     for v in range(self.num_vertices))
+
+    @cached_property
+    def _surface(self):
+        # the verdict of `surfaces.check_surface`; surfaces imports this
+        # module, so the test is imported here, on first use
+        from .surfaces import _surface_verdict
+        return _surface_verdict(self)
+
     def skeleton_graph(self) -> Graph:
         edges = [tuple(sorted(e)) for e in self.edge_set()]
         names = ["{" + ",".join(map(str, lab)) + "}" for lab in self.labels]
         return Graph.from_edges(self.num_vertices, edges, names)
+
+
+def _link_walk(star: Iterable[frozenset[int]], v: int
+               ) -> Optional[tuple[int, ...]]:
+    """The link of v in cyclic order, read off its star; None if not a cycle.
+
+    The walk starts at the least link vertex and steps to its lesser
+    neighbor first, so the order depends on the complex alone.
+    """
+    adj: dict[int, list[int]] = {}
+    for t in star:
+        a, b = sorted(t - {v})
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if not adj or any(len(nb) != 2 for nb in adj.values()):
+        return None
+    start = min(adj)
+    out = [start, min(adj[start])]
+    while True:
+        x, y = adj[out[-1]]
+        nxt = y if x == out[-2] else x
+        if nxt == start:
+            break
+        out.append(nxt)
+    # a 2-regular link is one cycle exactly when the walk visits all of it
+    return tuple(out) if len(out) == len(adj) else None
 
 
 def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:

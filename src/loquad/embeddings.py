@@ -20,15 +20,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         _assemble_lovasz)
-from .graphs import (CycleSpaceBasis, Edge, Graph, GraphError,
-                     InvariantViolation, canonical_cycle, cycle_space_basis,
-                     enumerate_simple_cycles, four_cycles, is_bipartite,
-                     is_connected, is_k23, norm_edge)
-from .surfaces import SurfaceClass, classify, link_cycle
+from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, CycleSpaceBasis, Edge, Graph,
+                     GraphError, InvariantViolation, canonical_cycle,
+                     cycle_space_basis, enumerate_simple_cycles, four_cycles,
+                     is_bipartite, is_connected, is_k23, norm_edge)
+from .surfaces import SurfaceClass, classify
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ class EmbeddedGraph:
 
     def sign(self, u: int, v: int) -> int:
         return self.signs[norm_edge(u, v)]
-
-    def rot_next(self, v: int, u: int, direction: int) -> int:
-        rot = self.rotations[v]
-        i = rot.index(u)
-        return rot[(i + direction) % len(rot)]
 
     @cached_property
     def _walks(self) -> list[list[State]]:
@@ -189,15 +184,24 @@ class FaceWalk:
 State = tuple[int, int, int]    # (from, to, side flag)
 
 
+def _rot_step(rot: Sequence[int], u: int, direction: int) -> int:
+    """The neighbor after u in the cyclic order rot (before it for -1)."""
+    return rot[(rot.index(u) + direction) % len(rot)]
+
+
 def _next_state(e: EmbeddedGraph, s: State) -> State:
     u, v, f = s
-    w = e.rot_next(v, u, f)
+    w = _rot_step(e.rotations[v], u, f)
     return (v, w, f * e.sign(v, w))
 
 
 def _mirror_state(e: EmbeddedGraph, s: State) -> State:
     u, v, f = s
     return (v, u, -f * e.sign(u, v))
+
+
+def _flip_state(e: EmbeddedGraph, s: State) -> State:
+    return (s[0], s[1], -s[2])
 
 
 def _face_state_walks(e: EmbeddedGraph) -> list[list[State]]:
@@ -671,9 +675,6 @@ def oddness_functional(e: EmbeddedGraph) -> bool:
     return e._odd
 
 
-DEFAULT_ORACLE_CYCLE_CAP = 200000
-
-
 def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
                    ) -> tuple[Optional[bool], Optional[OrientizingWitness], bool]:
     """Exhaustive cutting oracle: search odd simple cycles whose cut orientizes.
@@ -714,7 +715,7 @@ def is_odd_quadrangulation(e: EmbeddedGraph, run_oracle: bool = False,
         return OddnessVerdict(odd)
     verdict, witness, complete = oddness_oracle(e, oracle_cap)
     if verdict is not None and verdict != odd:
-        raise RuntimeError(
+        raise InvariantViolation(
             f"oddness disagreement: functional says {odd}, cutting oracle "
             f"says {verdict}")
     return OddnessVerdict(odd, witness, oracle_ran=True,
@@ -725,78 +726,56 @@ def is_odd_quadrangulation(e: EmbeddedGraph, run_oracle: bool = False,
 # Embedded isomorphism
 # ---------------------------------------------------------------------------
 
-def _face_profile(faces: list[FaceWalk], n: int) -> list[tuple[int, ...]]:
-    prof: list[list[int]] = [[] for _ in range(n)]
-    for f in faces:
-        for v in f.boundary:
-            prof[v].append(len(f))
-    return [tuple(sorted(p)) for p in prof]
-
-
 def embedded_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
-    """Graph isomorphism carrying the face-walk multiset of a onto b's.
+    """Whether a map isomorphism carries a onto b, up to switching and
+    reflection; connected embeddings only.
 
-    Face walks are compared up to rotation and reflection.  Backtracking
-    over vertices with degree and incident-face-length pruning, on an
-    explicit stack, so its depth is not bounded by the interpreter's
-    recursion limit.
+    The map is a bijection of dart-side states that commutes with the face
+    step, the mirror and the side flip, and comes from a vertex bijection.
+    These moves reach every state of a connected embedding (without the
+    mirror, half of them on an orientable one), so the image of one root
+    state fixes the map.  Each candidate image costs O(E); the same dart of
+    b goes first, which settles two embeddings of one labelled graph.
     """
     ga, gb = a.graph, b.graph
+    if not (is_connected(ga) and is_connected(gb)):
+        raise GraphError("embedded isomorphism requires connected graphs")
     if ga.n != gb.n or ga.num_edges != gb.num_edges:
         return False
-    fa, fb = trace_faces(a), trace_faces(b)
-    if sorted(len(f) for f in fa) != sorted(len(f) for f in fb):
-        return False
-    pa, pb = _face_profile(fa, ga.n), _face_profile(fb, gb.n)
-    if sorted(pa) != sorted(pb):
-        return False
-    target_faces = sorted(f.canonical() for f in fb)
-    mapping = [-1] * ga.n
-    used = [False] * gb.n
-    order = sorted(range(ga.n), key=lambda v: (-ga.degree(v), v))
-
-    def faces_match() -> bool:
-        mapped = sorted(canonical_cycle([mapping[v] for v in f.boundary])
-                        for f in fa)
-        return mapped == target_faces
-
-    def fits(v: int, w: int) -> bool:
-        if used[w] or pa[v] != pb[w] or ga.degree(v) != gb.degree(w):
-            return False
-        for x in ga.adj[v]:
-            if mapping[x] >= 0 and mapping[x] not in gb.adj[w]:
-                return False
-        for x in range(ga.n):
-            if mapping[x] >= 0 and x not in ga.adj[v] \
-                    and mapping[x] in gb.adj[w]:
-                return False
+    if not ga.num_edges:
         return True
+    root = (0, a.rotations[0][0], 1)
+    images = sorted(((u, v, f) for u in range(gb.n)
+                     if gb.degree(u) == ga.degree(0)
+                     for v in b.rotations[u] for f in (1, -1)),
+                    key=lambda t: t[:2] != root[:2])
+    return any(_state_map_fits(a, b, root, t) for t in images)
 
-    def candidates(v: int) -> Iterator[int]:
-        # same-index candidate first: round-trip checks usually map a graph
-        # onto a relabeling of itself.  Each candidate is tested when it is
-        # drawn, after the deeper levels have been undone.
-        return (w for w in [v] + [w for w in range(gb.n) if w != v]
-                if fits(v, w))
 
-    # one candidate iterator per mapped level of `order`
-    stack = [candidates(order[0])]
+def _state_map_fits(a: EmbeddedGraph, b: EmbeddedGraph, root: State,
+                    image: State) -> bool:
+    """Whether root -> image extends to an isomorphism of a onto b."""
+    vertex, taken = [-1] * a.graph.n, [False] * b.graph.n
+    image_of = {root: image}
+    stack = [(root, image)]
     while stack:
-        v = order[len(stack) - 1]
-        if mapping[v] >= 0:     # back at this level: undo its last choice
-            used[mapping[v]] = False
-            mapping[v] = -1
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            continue
-        mapping[v] = w
-        used[w] = True
-        if len(stack) < ga.n:
-            stack.append(candidates(order[len(stack)]))
-        elif faces_match():
-            return True
-    return False
+        s, t = stack.pop()
+        for x, y in ((s[0], t[0]), (s[1], t[1])):
+            if vertex[x] < 0 and not taken[y]:
+                vertex[x], taken[y] = y, True
+            elif vertex[x] != y:
+                return False
+        for move in (_next_state, _mirror_state, _flip_state):
+            s2, t2 = move(a, s), move(b, t)
+            known = image_of.get(s2)
+            if known is None:
+                image_of[s2] = t2
+                stack.append((s2, t2))
+            elif known != t2:
+                return False
+    # an injective vertex map that commutes with the flip is injective on
+    # states, so covering as many states as b has makes it onto
+    return len(image_of) == 4 * a.graph.num_edges
 
 
 # ---------------------------------------------------------------------------
@@ -828,17 +807,11 @@ def rotation_system_of_surface(K) -> EmbeddedGraph:
     the successor across it.
     """
     classify(K)
-    rots = [tuple(link_cycle(K, v)) for v in range(K.num_vertices)]
+    rots = K._links
     skel = K.skeleton_graph()
-
-    def succ(v: int, u: int) -> int:
-        rot = rots[v]
-        return rot[(rot.index(u) + 1) % len(rot)]
-
-    signs = {}
-    for u, v in skel.edges:
-        signs[(u, v)] = 1 if succ(u, v) != succ(v, u) else -1
-    return EmbeddedGraph(skel, tuple(rots), signs)
+    signs = {(u, v): 1 if _rot_step(rots[u], v, 1) != _rot_step(rots[v], u, 1)
+             else -1 for u, v in skel.edges}
+    return EmbeddedGraph(skel, rots, signs)
 
 
 def _cyclic_direction(a: Sequence[int], b: Sequence[int]) -> int:
@@ -846,13 +819,10 @@ def _cyclic_direction(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError("cyclic sequences of different lengths")
     k = len(a)
-    for s in range(k):
-        if all(a[(s + j) % k] == b[j] for j in range(k)):
-            return 1
-    ar = list(reversed(a))
-    for s in range(k):
-        if all(ar[(s + j) % k] == b[j] for j in range(k)):
-            return -1
+    for direction, seq in ((1, list(a)), (-1, list(reversed(a)))):
+        for s in range(k):
+            if all(seq[(s + j) % k] == b[j] for j in range(k)):
+                return direction
     raise ValueError("sequences are not cyclically related")
 
 
@@ -865,23 +835,17 @@ def lovasz_quotient_embedding(L: LovaszComplex) -> EmbeddedGraph:
     singleton representatives, and signs compose the surface signs with the
     orientation behavior of the involution at each vertex.
     """
-    classify(L.base)
+    surf = rotation_system_of_surface(L.base)    # classifies L.base first
     if any(k is VertexKind.OTHER for k in L.kinds):
         raise HypothesisError("every vertex is singleton/neighborhood/diagonal")
     g = L.graph
-    surf = rotation_system_of_surface(L.base)
-    keep = {i for i, k in enumerate(L.kinds)
-            if k in (VertexKind.SINGLETON, VertexKind.NEIGHBORHOOD)}
     singleton_of = {}
     for i, lab in enumerate(L.labels):
         if L.kinds[i] is VertexKind.SINGLETON:
             singleton_of[lab[0]] = i
-
-    def down(i: int) -> int:
-        """Quotient image of a singleton/neighborhood vertex."""
-        if L.kinds[i] is VertexKind.SINGLETON:
-            return L.labels[i][0]
-        return L.labels[L.nu[i]][0]
+    # the quotient image v of each singleton {v} and neighborhood N(v)
+    down = {i: L.labels[i if k is VertexKind.SINGLETON else L.nu[i]][0]
+            for i, k in enumerate(L.kinds) if k is not VertexKind.DIAGONAL}
 
     # orientation behavior of the involution at each vertex: does it map the
     # oriented link of {v} onto the chosen orientation of the link of N(v)?
@@ -895,7 +859,7 @@ def lovasz_quotient_embedding(L: LovaszComplex) -> EmbeddedGraph:
     rotations = []
     for v in range(g.n):
         sv = singleton_of[v]
-        rot = [down(u) for u in surf.rotations[sv] if u in keep]
+        rot = [down[u] for u in surf.rotations[sv] if u in down]
         if sorted(rot) != sorted(g.adj[v]):
             raise HypothesisError(
                 "induced subgraph quadrangulates the surface",
@@ -920,9 +884,9 @@ def lovasz_quads(L: LovaszComplex) -> list[tuple[int, ...]]:
     quads = []
     for i, kind in enumerate(L.kinds):
         if kind is VertexKind.DIAGONAL:
-            link = link_cycle(L.base, i)
+            link = L.base._links[i]
             if link is None or len(link) != 4:
                 raise HypothesisError("link of a diagonal is a 4-cycle",
                                       f"diagonal {L.labels[i]}")
-            quads.append(tuple(link))
+            quads.append(link)
     return quads

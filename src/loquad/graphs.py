@@ -233,7 +233,9 @@ def is_k23(g: Graph) -> bool:
 # Exact chromatic number
 # ---------------------------------------------------------------------------
 
+# the default caps of the exact chromatic search and the cutting oracle
 DEFAULT_CHROMATIC_CAP = 64
+DEFAULT_ORACLE_CYCLE_CAP = 200000
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -399,7 +401,8 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def enumerate_simple_cycles(g: Graph, max_count: int = 100000
+def enumerate_simple_cycles(g: Graph,
+                            max_count: int = DEFAULT_ORACLE_CYCLE_CAP
                             ) -> tuple[list[tuple[int, ...]], bool]:
     """All simple cycles as canonical vertex tuples, plus an overflow flag.
 

@@ -11,21 +11,21 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .graphs import (DEFAULT_CHROMATIC_CAP, CapExceeded, InvariantViolation,
-                     chromatic_number, find_domination, find_k23,
-                     is_bipartite, is_connected, is_k23)
+from .graphs import (DEFAULT_CHROMATIC_CAP, DEFAULT_ORACLE_CYCLE_CAP,
+                     CapExceeded, InvariantViolation, chromatic_number,
+                     find_domination, find_k23, is_bipartite, is_connected,
+                     is_k23)
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         lovasz_complex, nu_free_on_faces, quotient_complex)
 from .surfaces import (SurfaceClass, check_surface, classify,
                        double_cover_branch)
-from .embeddings import (DEFAULT_ORACLE_CYCLE_CAP, EmbeddedGraph,
-                         all_4cycles_facial, check_face_rule_hypotheses,
-                         embedded_isomorphic, euler_characteristic,
-                         has_even_one_sided_class, is_odd_quadrangulation,
-                         is_orientable_embedding, is_quadrangulation,
-                         lovasz_from_quadrangulation, lovasz_quads,
-                         lovasz_quotient_embedding, oddness_functional,
-                         oddness_oracle, surface_class)
+from .embeddings import (EmbeddedGraph, all_4cycles_facial,
+                         check_face_rule_hypotheses, embedded_isomorphic,
+                         euler_characteristic, has_even_one_sided_class,
+                         is_odd_quadrangulation, is_orientable_embedding,
+                         is_quadrangulation, lovasz_from_quadrangulation,
+                         lovasz_quads, lovasz_quotient_embedding,
+                         oddness_functional, oddness_oracle, surface_class)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     if not is_orientable_embedding(e):
         odd = is_odd_quadrangulation(e).odd
         if odd != (cohom_ind == 2):
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"gray parity ({gray}) contradicts the oddness decision "
                 f"({odd})")
     # on surfaces the cohomological index equals the index

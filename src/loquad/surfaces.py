@@ -48,32 +48,18 @@ class SurfaceVerdict:
 
 
 def link_cycle(K: SimplicialComplex, v: int) -> Optional[list[int]]:
-    """The link of v in cyclic order, or None when it is not one cycle.
-
-    The walk starts at the least link vertex and steps to its lesser
-    neighbor first, so the order depends on the complex alone.
-    """
-    adj: dict[int, list[int]] = {}
-    for t in K.vertex_star(v):
-        a, b = sorted(t - {v})
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if not adj or any(len(nb) != 2 for nb in adj.values()):
-        return None
-    start = min(adj)
-    out = [start, min(adj[start])]
-    while True:
-        x, y = adj[out[-1]]
-        nxt = y if x == out[-2] else x
-        if nxt == start:
-            break
-        out.append(nxt)
-    # a 2-regular link is one cycle exactly when the walk visits all of it
-    return out if len(out) == len(adj) else None
+    """The link of v in cyclic order, as a new list, or None when it is not
+    one cycle."""
+    return None if K._links[v] is None else list(K._links[v])
 
 
 def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
-    """Combinatorial closed-surface test; defects are returned, not raised."""
+    """Combinatorial closed-surface test, kept with the complex; defects
+    are returned, not raised."""
+    return K._surface
+
+
+def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
     for f in K.facets:
         if len(f) != 3:
             return SurfaceVerdict(False, SurfaceDefect(
@@ -86,8 +72,8 @@ def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
         return SurfaceVerdict(False, SurfaceDefect(
             "edge-degree", f"edge ({K.labels[u]},{K.labels[v]}) in "
             f"{len(K.edge_star(e))} triangles"))
-    for v in range(K.num_vertices):
-        if link_cycle(K, v) is None:
+    for v, link in enumerate(K._links):
+        if link is None:
             return SurfaceVerdict(False, SurfaceDefect(
                 "bad-link", f"link of {K.labels[v]} is not a single cycle"))
     comps = connected_components(K.skeleton_graph())

@@ -1,6 +1,6 @@
 import pytest
 
-from loquad import embeddings
+from loquad import complexes, embeddings, surfaces
 from loquad.complexes import HypothesisError, lovasz_complex
 from loquad.embeddings import (EmbeddedGraph, embedded,
                                lovasz_from_quadrangulation)
@@ -170,6 +170,24 @@ class TestInvariantReport:
             invariant_report(torus_grid(4, 4))
 
 
+class TestCrossCheckDisagreements:
+    def test_oracle_disagreement_is_a_violation(self, monkeypatch, k4p):
+        # k4-projective is odd; an oracle that finds no witness disagrees
+        monkeypatch.setattr(embeddings, "oddness_oracle",
+                            lambda e, cap: (False, None, True))
+        with pytest.raises(InvariantViolation, match="oddness disagreement"):
+            embeddings.is_odd_quadrangulation(k4p, run_oracle=True)
+
+    def test_gray_parity_contradiction_is_a_violation(self, monkeypatch,
+                                                      k4p):
+        # gray count 3 says odd; a decision of not odd contradicts it
+        monkeypatch.setattr("loquad.invariants.is_odd_quadrangulation",
+                            lambda e: embeddings.OddnessVerdict(False))
+        with pytest.raises(InvariantViolation,
+                           match=r"gray parity \(3\) contradicts"):
+            invariant_report(k4p)
+
+
 class TestVerifyTheorems:
     def test_all_pass_on_good_fixtures(self, k4p, t33, klein_odd):
         for e in (k4p, t33, klein_odd):
@@ -225,7 +243,7 @@ class TestVerifyTheorems:
 
 
 # ---------------------------------------------------------------------------
-# Work counts: one analysis per embedding
+# Work counts: one analysis per embedding, one surface verdict per complex
 # ---------------------------------------------------------------------------
 
 def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
@@ -257,9 +275,29 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
 
     walked.clear()
     assembled.clear()
+    verdicts_built, links_walked = [], []
+    verdict = surfaces._surface_verdict
+    link_walk = complexes._link_walk
+
+    def counting_verdict(K):
+        verdicts_built.append(K)
+        return verdict(K)
+
+    def counting_link_walk(star, v):
+        links_walked.append(v)
+        return link_walk(star, v)
+
+    monkeypatch.setattr(surfaces, "_surface_verdict", counting_verdict)
+    monkeypatch.setattr(complexes, "_link_walk", counting_link_walk)
     e = verify_input
     verdicts = verify_theorems(e)
     assert all(v.passed for v in verdicts), verdicts
-    # the input once, then the folded embedding of quotient_round_trip
-    assert len(walked) == 2 and walked[0] is e and walked[1] is not e
+    # the input only: the map isomorphism of quotient_round_trip steps
+    # states of the folded embedding without tracing its faces
+    assert walked == [e]
     assert len(assembled) == 1
+    # the definitional complex and the face-rule complex, 140 vertices each
+    assert len(verdicts_built) == 2
+    assert verdicts_built[0] is not verdicts_built[1]
+    assert len(links_walked) == sum(K.num_vertices for K in verdicts_built)
+    assert len(links_walked) == 280

@@ -11,34 +11,18 @@ import random
 
 import pytest
 
-from conftest import oracle_cap
+from conftest import drawn, oracle_cap
 from loquad import embeddings
 from loquad.embeddings import (EmbeddedGraph, cut_along_cycle,
                                cut_surface_orientable, is_orientable_embedding,
-                               oddness_oracle, switch_vertex)
+                               oddness_oracle)
 from loquad.generators import klein_grid, shipped_fixtures, torus_grid
 from loquad.graphs import (Graph, GraphError, canonical_cycle,
-                           enumerate_simple_cycles, norm_edge)
+                           enumerate_simple_cycles)
 
 
 def reference_cut(e, cycle):
     return is_orientable_embedding(cut_along_cycle(e, cycle))
-
-
-def drawn(e, seed):
-    """A seeded gauge draw and relabelling of e, and its permutation."""
-    rng = random.Random(seed)
-    n = e.graph.n
-    for v in rng.sample(range(n), n // 2):
-        e = switch_vertex(e, v)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    rotations = [()] * n
-    for v, rot in enumerate(e.rotations):
-        rotations[perm[v]] = tuple(perm[u] for u in rot)
-    signs = {norm_edge(perm[u], perm[v]): s for (u, v), s in e.signs.items()}
-    return EmbeddedGraph(e.graph.relabeled(perm), tuple(rotations),
-                         signs), perm
 
 
 def every_variant(cycle):

@@ -1,12 +1,17 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from loquad.complexes import (closed_sets, lovasz_complex, nu_free_on_faces)
-from loquad.embeddings import (cycle_edge_set, one_sidedness_functional,
-                               parity_functional, switch_vertex, trace_faces)
-from loquad.generators import KLEIN_SWEEP, klein_grid
+from conftest import drawn
+from loquad.complexes import (HypothesisError, closed_sets, lovasz_complex,
+                              nu_free_on_faces)
+from loquad.embeddings import (check_face_rule_hypotheses, cycle_edge_set,
+                               embedded_isomorphic, lovasz_quotient_embedding,
+                               one_sidedness_functional, parity_functional,
+                               switch_vertex, trace_faces)
+from loquad.generators import KLEIN_SWEEP, klein_grid, torus_grid
 from loquad.graphs import Graph, common_neighbors, cycle_space_basis
+from loquad.invariants import invariant_report
 
 
 def random_graph(rng, n):
@@ -104,3 +109,33 @@ class TestEmbeddingProperties:
         par = parity_functional(klein_odd.graph, basis)
         for c in basis.cycles:
             assert par.evaluate(cycle_edge_set(c)) == len(c) % 2
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic properties: a relabelling and a change of local orientations
+# change no label-free result
+# ---------------------------------------------------------------------------
+
+def _label_free(report):
+    return (report.gray_count % 2, report.cyclic_count % 2, report.odd,
+            report.cohom_ind, report.ind, report.coind, report.non_tidy,
+            report.lo_class)
+
+
+@given(klein=st.booleans(), m=st.integers(3, 6), n=st.integers(3, 6),
+       twist=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_relabel_and_switch_change_no_label_free_result(klein, m, n, twist,
+                                                        seed):
+    e = klein_grid(m, n, twist) if klein else torus_grid(m, n)
+    try:
+        check_face_rule_hypotheses(e)
+    except HypothesisError:
+        assume(False)
+    d, _ = drawn(e, seed)
+    assert embedded_isomorphic(d, e)
+    folded = lovasz_quotient_embedding(lovasz_complex(d.graph))
+    assert embedded_isomorphic(folded, d)
+    report = invariant_report(d)
+    assert _label_free(report) == _label_free(invariant_report(e))
+    assert report.gray_count % 2 == invariant_report(d, "max").gray_count % 2
