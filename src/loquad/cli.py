@@ -10,7 +10,7 @@ import sys
 from typing import Optional
 
 from .graphs import (DEFAULT_CHROMATIC_CAP, DEFAULT_ORACLE_CYCLE_CAP,
-                     CapExceeded, GraphError, chromatic_number,
+                     CapExceeded, Graph, GraphError, chromatic_number,
                      find_domination, find_k23, is_bipartite, is_connected)
 from .complexes import ComplexError, HypothesisError, lovasz_complex
 from .surfaces import check_surface, double_cover_branch
@@ -150,36 +150,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# family -> (generator, accepted parameter counts, usage)
+_FAMILIES = {
+    "figure1": (generators.figure1_graph, (0,), "takes no parameters"),
+    "k4-projective": (generators.k4_projective, (0,), "takes no parameters"),
+    "k23-sphere": (generators.k23_sphere, (0,), "takes no parameters"),
+    "torus-grid": (generators.torus_grid, (2,), "takes parameters m n"),
+    "klein-grid": (generators.klein_grid, (2, 3),
+                   "takes parameters m n [twist]"),
+}
+
+
 def cmd_generate(args) -> int:
-    family = args.family
-    params = args.params
-    try:
-        if family == "figure1":
-            if params:
-                raise GraphError("figure1 takes no parameters")
-            write_text(args.out, dump_graph(generators.figure1_graph()))
-            return EXIT_OK
-        if family == "k4-projective":
-            if params:
-                raise GraphError("k4-projective takes no parameters")
-            e = generators.k4_projective()
-        elif family == "k23-sphere":
-            if params:
-                raise GraphError("k23-sphere takes no parameters")
-            e = generators.k23_sphere()
-        elif family == "torus-grid":
-            if len(params) != 2:
-                raise GraphError("torus-grid takes parameters m n")
-            e = generators.torus_grid(*params)
-        elif family == "klein-grid":
-            if len(params) not in (2, 3):
-                raise GraphError("klein-grid takes parameters m n [twist]")
-            e = generators.klein_grid(*params)
-        else:
-            raise GraphError(f"unknown family {family!r}")
-    except TypeError:
-        raise GraphError(f"bad parameters for {family}: {params}")
-    write_text(args.out, dump_embedding(e))
+    if args.family not in _FAMILIES:
+        raise GraphError(f"unknown family {args.family!r}")
+    make, counts, usage = _FAMILIES[args.family]
+    if len(args.params) not in counts:
+        raise GraphError(f"{args.family} {usage}")
+    out = make(*args.params)
+    dump = dump_graph if isinstance(out, Graph) else dump_embedding
+    write_text(args.out, dump(out))
     return EXIT_OK
 
 
@@ -232,9 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("generate", help="write a fixture family instance")
-    sp.add_argument("family",
-                    help="figure1 | k4-projective | k23-sphere | "
-                         "torus-grid | klein-grid")
+    sp.add_argument("family", help=" | ".join(_FAMILIES))
     sp.add_argument("params", nargs="*", type=int)
     common(sp)
     sp.set_defaults(func=cmd_generate)

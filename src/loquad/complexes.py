@@ -1,4 +1,4 @@
-"""Simplicial complexes, the neighborhood complex and the Lovász complex.
+"""Simplicial complexes and the Lovász complex.
 
 The Lovász complex of a graph has one vertex per CN-closed vertex set and
 one face per chain of such sets under strict inclusion.  It carries the
@@ -253,16 +253,6 @@ def closed_sets(g: Graph) -> list[Label]:
 
 def _mask_label(mask: int) -> Label:
     return tuple(mask_bits(mask))
-
-
-def neighborhood_complex(g: Graph) -> SimplicialComplex:
-    """Complex whose faces are the vertex sets with a common neighbor."""
-    neigh = {tuple(sorted(g.adj[v])) for v in range(g.n) if g.adj[v]}
-    vertices = sorted({v for nb in neigh for v in nb})
-    index = {v: i for i, v in enumerate(vertices)}
-    labels = tuple((v,) for v in vertices)
-    faces = [frozenset(index[v] for v in nb) for nb in neigh]
-    return complex_from_facets(labels, faces)
 
 
 def _classify_label(g: Graph, neighborhoods: frozenset[frozenset[int]],

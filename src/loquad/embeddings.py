@@ -3,16 +3,19 @@
 An embedding is a cyclic neighbor order at each vertex plus a sign per
 edge; negative edges reverse local orientation, which is the standard
 encoding of embeddings in possibly non-orientable surfaces.  This module
-covers face tracing, quadrangulation checks, GF(2) functionals on the
-cycle space, the cut-along-cycle oracle, embedded isomorphism, and the
-constructions relating embeddings to the Lovász complex.
+covers face tracing, quadrangulation checks, the sign-balance tests, the
+cut-along-cycle oracle, embedded isomorphism, and the constructions
+relating embeddings to the Lovász complex.
 
-The cutting oracle decides each cut directly (`cut_surface_orientable`):
-a +-1 gauge factor per cycle vertex takes the place of switching, each
-cycle vertex is split into a left and a right copy read off its rotation,
-and a signed BFS labeling of the resulting edge list decides
-orientability, so no cut embedding is built.  `cut_along_cycle` builds
-the cut surface and stays as the reference for that decision.
+Every sign question is one balance test on a signed graph
+(`_signs_balanced`): orientability, the existence of an even one-sided
+cycle, and each cut of the oracle.  The cutting oracle decides each cut
+directly (`cut_surface_orientable`): a +-1 gauge factor per cycle vertex
+takes the place of switching, each cycle vertex is split into a left and
+a right copy read off its rotation, and the resulting signed edge list is
+tested for balance, so no cut embedding is built.  The reference for
+that decision, which builds the cut surface, is kept with the tests
+(`tests/cut_reference.py`).
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         _assemble_lovasz)
-from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, CycleSpaceBasis, Edge, Graph,
-                     GraphError, InvariantViolation, canonical_cycle,
-                     cycle_space_basis, enumerate_simple_cycles, four_cycles,
-                     is_bipartite, is_connected, is_k23, norm_edge)
+from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, Edge, Graph, GraphError,
+                     InvariantViolation, canonical_cycle,
+                     enumerate_simple_cycles, four_cycles, is_bipartite,
+                     is_connected, norm_edge)
 from .surfaces import SurfaceClass, classify
 
 
@@ -97,8 +100,6 @@ class EmbeddedGraph:
             return "graph connected", ""
         if is_bipartite(g).bipartite:
             return "graph non-bipartite", ""
-        if is_k23(g):
-            return "graph not isomorphic to K(2,3)", ""
         quad = is_quadrangulation(self)
         if not quad.ok:
             return "embedding is a quadrangulation", f"face {quad.bad_face}"
@@ -263,10 +264,8 @@ def surface_class(e: EmbeddedGraph) -> SurfaceClass:
     """Classification of the embedding surface (connected embeddings)."""
     if not is_connected(e.graph):
         raise GraphError("surface classification requires a connected graph")
-    chi = euler_characteristic(e)
-    orient = is_orientable_embedding(e)
-    genus = (2 - chi) // 2 if orient else 2 - chi
-    return SurfaceClass(orient, genus, chi)
+    return SurfaceClass.from_euler(is_orientable_embedding(e),
+                                   euler_characteristic(e))
 
 
 @dataclass(frozen=True)
@@ -293,43 +292,8 @@ def all_4cycles_facial(e: EmbeddedGraph) -> FacialVerdict:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) functionals on the cycle space
+# Sign balance: orientability and even one-sided cycles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Z2Functional:
-    """A linear functional recorded by its values on fundamental cycles."""
-
-    basis: CycleSpaceBasis
-    bits: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
-    def evaluate(self, edge_set: frozenset[Edge]) -> int:
-        coords = self.basis.decompose(edge_set)
-        return sum(b * c for b, c in zip(self.bits, coords)) % 2
-
-
-def cycle_edge_set(cycle: Sequence[int]) -> frozenset[Edge]:
-    k = len(cycle)
-    return frozenset(norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k))
-
-
-def one_sidedness_functional(e: EmbeddedGraph,
-                             basis: CycleSpaceBasis) -> Z2Functional:
-    """1 on cycles whose strip is a Möbius band (odd negative-sign count)."""
-    bits = []
-    for i in range(len(basis.cycles)):
-        neg = sum(1 for ed in basis.cycle_edges(i) if e.signs[ed] < 0)
-        bits.append(neg % 2)
-    return Z2Functional(basis, tuple(bits))
-
-
-def parity_functional(g: Graph, basis: CycleSpaceBasis) -> Z2Functional:
-    """Cycle length mod 2."""
-    return Z2Functional(basis, tuple(len(c) % 2 for c in basis.cycles))
-
 
 def is_orientable_embedding(e: EmbeddedGraph) -> bool:
     """True iff no cycle has an odd number of negative edges.
@@ -366,34 +330,18 @@ def _signs_balanced(
     return True
 
 
-@dataclass(frozen=True)
-class EvenOneSidedVerdict:
-    exists: bool
-    # a cycle-space element with (one-sided, even) signature, as coordinates
-    # over the fundamental-cycle basis
-    coords: Optional[tuple[int, ...]] = None
+def has_even_one_sided_class(e: EmbeddedGraph) -> bool:
+    """Whether some even element of the cycle space is one-sided.
 
-
-def has_even_one_sided_class(e: EmbeddedGraph) -> EvenOneSidedVerdict:
-    """Existence of a one-sided even element of the cycle space.
-
-    Exists iff the one-sidedness functional is neither zero nor equal to
-    the parity functional.
+    The one-sidedness class w1 (negative-edge parity) is zero iff the
+    signs are balanced, and equals the length parity iff the negated
+    signs are balanced: a cycle has an even number of positive edges iff
+    it has an even number of negative ones under the negated signs.  Over
+    GF(2) an even one-sided element exists iff w1 is neither.
     """
-    basis = cycle_space_basis(e.graph)
-    w1 = one_sidedness_functional(e, basis)
-    par = parity_functional(e.graph, basis)
-    if w1.is_zero() or w1.bits == par.bits:
-        return EvenOneSidedVerdict(False)
-    m = len(basis.cycles)
-    for i in range(m):
-        if w1.bits[i] == 1 and par.bits[i] == 0:
-            coords = tuple(1 if j == i else 0 for j in range(m))
-            return EvenOneSidedVerdict(True, coords)
-    i = next(j for j in range(m) if w1.bits[j] == 1)      # par[i] == 1 here
-    j = next(j for j in range(m) if par.bits[j] == 1 and w1.bits[j] == 0)
-    coords = tuple(1 if x in (i, j) else 0 for x in range(m))
-    return EvenOneSidedVerdict(True, coords)
+    g = e.graph
+    return not e._orientable and not _signs_balanced(
+        g.n, lambda u: ((w, -e.sign(u, w)) for w in g.adj[u]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +359,6 @@ def switch_vertex(e: EmbeddedGraph, v: int) -> EmbeddedGraph:
     return EmbeddedGraph(e.graph, tuple(rotations), signs)
 
 
-def _arc_between(rot: Sequence[int], start: int, stop: int) -> list[int]:
-    """Elements of the cyclic sequence strictly between start and stop."""
-    i = rot.index(start)
-    out = []
-    j = (i + 1) % len(rot)
-    while rot[j] != stop:
-        out.append(rot[j])
-        j = (j + 1) % len(rot)
-    return out
-
-
 def _check_cut_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> None:
     k = len(cycle)
     if k < 3 or len(set(cycle)) != k:
@@ -431,107 +368,22 @@ def _check_cut_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> None:
             raise GraphError("cut input is not a cycle of the graph")
 
 
-def cut_along_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> EmbeddedGraph:
-    """The surface cut along a simple cycle, with boundaries capped by discs.
-
-    Cycle vertices are doubled; a one-sided cycle yields one boundary
-    circle (linking the two copies with a twist), a two-sided cycle two.
-    The capped boundaries appear as new faces of the returned embedding,
-    which may be disconnected (one component per resulting surface).
-    """
-    _check_cut_cycle(e, cycle)
-    k = len(cycle)
-    # Normalize local orientations so the open path carries +1 signs; the
-    # closing sign is then the (gauge-invariant) one-sidedness of the cycle.
-    # Walking the path, a vertex is switched (as by `switch_vertex`) when
-    # its incoming path edge is negative after its predecessor's switch.
-    switched = set()
-    for i in range(1, k):
-        if (e.sign(cycle[i - 1], cycle[i]) < 0) != (cycle[i - 1] in switched):
-            switched.add(cycle[i])
-    gauged = [rot[::-1] if v in switched else rot
-              for v, rot in enumerate(e.rotations)]
-    signs = {(u, v): -s if (u in switched) != (v in switched) else s
-             for (u, v), s in e.signs.items()}
-    sigma = signs[norm_edge(cycle[k - 1], cycle[0])]
-
-    g = e.graph
-    on_cycle = {v: i for i, v in enumerate(cycle)}
-    # new ids: the untouched vertices in their order, then two copies of
-    # each cycle vertex
-    kept = [v for v in range(g.n) if v not in on_cycle]
-    new_id = {v: i for i, v in enumerate(kept)}
-    copy_a = {v: len(kept) + 2 * i for i, v in enumerate(cycle)}
-    copy_b = {v: len(kept) + 2 * i + 1 for i, v in enumerate(cycle)}
-    arcs = {}     # v on cycle -> its left and right rotation arcs
-    sides: dict[int, dict[int, int]] = {}    # v on cycle -> neighbor -> copy
-    for i, v in enumerate(cycle):
-        nxt, prv = cycle[(i + 1) % k], cycle[(i - 1) % k]
-        left = _arc_between(gauged[v], nxt, prv)
-        right = _arc_between(gauged[v], prv, nxt)
-        arcs[v] = left, right
-        sides[v] = {u: copy_a[v] for u in left}
-        sides[v].update({u: copy_b[v] for u in right})
-
-    def image(v: int, seen_from: int) -> int:
-        if v not in on_cycle:
-            return new_id[v]
-        return sides[v][seen_from]
-
-    edges: list[tuple[int, int]] = []
-    neg: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        if u in on_cycle and v in on_cycle and \
-                abs(on_cycle[u] - on_cycle[v]) in (1, k - 1):
-            continue    # cycle edges handled below
-        a, b = image(u, v), image(v, u)
-        edges.append((a, b))
-        if signs[u, v] < 0:
-            neg.append((a, b))
-    succ, pred = {}, {}     # copy -> next / previous copy along the cycle
-    for i in range(k):
-        u, v = cycle[i], cycle[(i + 1) % k]
-        if i < k - 1 or sigma > 0:
-            ea = (copy_a[u], copy_a[v])
-            eb = (copy_b[u], copy_b[v])
-        else:
-            ea = (copy_a[u], copy_b[v])
-            eb = (copy_b[u], copy_a[v])
-        edges.extend([ea, eb])
-        if i == k - 1 and sigma < 0:
-            neg.extend([ea, eb])
-        for a, b in (ea, eb):
-            succ[a], pred[b] = b, a
-
-    rotations = [tuple(image(u, v) for u in gauged[v]) for v in kept]
-    names = [g.names[v] for v in kept]
-    for v in cycle:
-        left, right = arcs[v]
-        a, b = copy_a[v], copy_b[v]
-        rotations.append(tuple([succ[a]] + [image(u, v) for u in left]
-                               + [pred[a]]))
-        rotations.append(tuple([pred[b]] + [image(u, v) for u in right]
-                               + [succ[b]]))
-        names += [g.names[v] + "'", g.names[v] + "''"]
-    return embedded(len(names), edges, rotations, neg, names)
-
-
 def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     """Whether every component of the cut (and capped) surface is orientable.
 
-    Decided without building the cut embedding.  The gauge of
-    `cut_along_cycle` switches cycle vertex i exactly when the running
-    product of the path signs up to it is -1; that product is kept as a
-    factor per cycle vertex, and the closing sign times the last factor is
-    the one-sidedness of the cycle.  Each cycle vertex gets a left copy
-    (the neighbors strictly between its successor and its predecessor in
-    its rotation, read in reverse where the factor is -1) and a right copy
-    (the rest).  Off-cycle edges and chords join the copies their ends see,
-    re-signed by the factors of those ends; the copies are joined along
-    the cycle by positive edges, with a twisted negative closing pair when
-    the cycle is one-sided.  The cut is orientable iff that signed graph
-    admits a consistent +-1 labeling.  `cut_along_cycle` is the reference.
-    Cost O(E) per cut.
+    Decided without building the cut embedding, which the reference in
+    `tests/cut_reference.py` builds.  Its gauge switches cycle vertex i
+    exactly when the running product of the path signs up to it is -1;
+    that product is kept as a factor per cycle vertex, and the closing
+    sign times the last factor is the one-sidedness of the cycle.  Each
+    cycle vertex gets a left copy (the neighbors strictly between its
+    successor and its predecessor in its rotation, read in reverse where
+    the factor is -1) and a right copy (the rest).  Off-cycle edges and
+    chords join the copies their ends see, re-signed by the factors of
+    those ends; the copies are joined along the cycle by positive edges,
+    with a twisted negative closing pair when the cycle is one-sided.  The
+    cut is orientable iff that signed graph admits a consistent +-1
+    labeling.  Cost O(E) per cut.
     """
     _check_cut_cycle(e, cycle)
     k = len(cycle)
@@ -571,10 +423,11 @@ def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
             b, s = side[v, u], s * factor[iv]
         signed_adj[a].append((b, s))
         signed_adj[b].append((a, s))
-    # The twisted closing pair mirrors `cut_along_cycle`; it never changes
-    # the verdict.  Cutting along a one-sided C leaves an orientable surface
-    # only if w1 is dual to C, and then every path between the two sides of
-    # C already has sign -1, so joining untwisted gives the same answer.
+    # The twisted closing pair mirrors the reference of
+    # tests/cut_reference.py; it never changes the verdict.  Cutting
+    # along a one-sided C leaves an orientable surface only if w1 is dual
+    # to C, and then every path between the two sides of C already has
+    # sign -1, so joining untwisted gives the same answer.
     for i in range(k):
         a_u, a_v = n + 2 * i, n + 2 * ((i + 1) % k)
         if i < k - 1 or not one_sided:

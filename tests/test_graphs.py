@@ -127,13 +127,6 @@ class TestCycleSpace:
             for i in range(len(c)):
                 assert c[(i + 1) % len(c)] in fig1.adj[c[i]]
 
-    def test_decompose_recovers_chord_indicator(self, fig1):
-        basis = cycle_space_basis(fig1)
-        for i in range(len(basis.cycles)):
-            coords = basis.decompose(basis.cycle_edges(i))
-            assert coords == tuple(1 if j == i else 0
-                                   for j in range(len(basis.cycles)))
-
 
 class TestCycleEnumeration:
     def test_k4_has_seven_simple_cycles(self):

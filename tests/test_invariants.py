@@ -1,6 +1,6 @@
 import pytest
 
-from loquad import complexes, embeddings, surfaces
+from loquad import complexes, embeddings, invariants, surfaces
 from loquad.complexes import HypothesisError, lovasz_complex
 from loquad.embeddings import (EmbeddedGraph, embedded,
                                lovasz_from_quadrangulation)
@@ -287,8 +287,16 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
         links_walked.append(v)
         return link_walk(star, v)
 
+    reports_built = []
+    report = invariants.invariant_report
+
+    def counting_report(e, rule="min"):
+        reports_built.append(rule)
+        return report(e, rule)
+
     monkeypatch.setattr(surfaces, "_surface_verdict", counting_verdict)
     monkeypatch.setattr(complexes, "_link_walk", counting_link_walk)
+    monkeypatch.setattr(invariants, "invariant_report", counting_report)
     e = verify_input
     verdicts = verify_theorems(e)
     assert all(v.passed for v in verdicts), verdicts
@@ -301,3 +309,5 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     assert verdicts_built[0] is not verdicts_built[1]
     assert len(links_walked) == sum(K.num_vertices for K in verdicts_built)
     assert len(links_walked) == 280
+    # gray_parity_agreement and chromatic_bound share the min-rule report
+    assert reports_built == ["min", "max"]

@@ -1,10 +1,10 @@
 """The cutting oracle's fast paths against their slow references.
 
 `cut_surface_orientable` decides orientability of the cut surface without
-building it; `cut_along_cycle` followed by `is_orientable_embedding` is the
-reference.  `enumerate_simple_cycles` runs on an explicit stack and emits
-its paths as they are; the recursive version it replaced is kept below as
-the reference.  Seeds are fixed.
+building it; `cut_along_cycle` (in `cut_reference.py`) followed by
+`is_orientable_embedding` is the reference.  `enumerate_simple_cycles`
+runs on an explicit stack and emits its paths as they are; the recursive
+version it replaced is kept below as the reference.  Seeds are fixed.
 """
 
 import random
@@ -12,10 +12,10 @@ import random
 import pytest
 
 from conftest import drawn, oracle_cap
+from cut_reference import cut_along_cycle
 from loquad import embeddings
-from loquad.embeddings import (EmbeddedGraph, cut_along_cycle,
-                               cut_surface_orientable, is_orientable_embedding,
-                               oddness_oracle)
+from loquad.embeddings import (EmbeddedGraph, cut_surface_orientable,
+                               is_orientable_embedding, oddness_oracle)
 from loquad.generators import klein_grid, shipped_fixtures, torus_grid
 from loquad.graphs import (Graph, GraphError, canonical_cycle,
                            enumerate_simple_cycles)

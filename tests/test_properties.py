@@ -5,10 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import drawn
 from loquad.complexes import (HypothesisError, closed_sets, lovasz_complex,
                               nu_free_on_faces)
-from loquad.embeddings import (check_face_rule_hypotheses, cycle_edge_set,
-                               embedded_isomorphic, lovasz_quotient_embedding,
-                               one_sidedness_functional, parity_functional,
-                               switch_vertex, trace_faces)
+from loquad.embeddings import (EmbeddedGraph, check_face_rule_hypotheses,
+                               embedded_isomorphic, has_even_one_sided_class,
+                               lovasz_quotient_embedding, switch_vertex,
+                               trace_faces)
 from loquad.generators import KLEIN_SWEEP, klein_grid, torus_grid
 from loquad.graphs import Graph, common_neighbors, cycle_space_basis
 from loquad.invariants import invariant_report
@@ -80,35 +80,46 @@ class TestEmbeddingProperties:
             assert all(c == 2 for c in uses.values())
             assert set(uses) == set(e.graph.edges)
 
-    def test_gauge_invariance_of_functionals(self, k4p, klein_odd):
-        for e in (k4p, klein_odd):
-            basis = cycle_space_basis(e.graph)
-            w1 = one_sidedness_functional(e, basis)
-            rng = random.Random(7)
-            s = e
-            for _ in range(5):
-                s = switch_vertex(s, rng.randrange(e.graph.n))
-            assert one_sidedness_functional(s, basis).bits == w1.bits
 
-    def test_functionals_additive_over_symmetric_difference(self, klein_odd):
-        e = klein_odd
-        basis = cycle_space_basis(e.graph)
-        w1 = one_sidedness_functional(e, basis)
-        par = parity_functional(e.graph, basis)
-        cycles = basis.cycles[:6]
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                a = cycle_edge_set(cycles[i])
-                b = cycle_edge_set(cycles[j])
-                for f in (w1, par):
-                    assert f.evaluate(a ^ b) == \
-                        (f.evaluate(a) + f.evaluate(b)) % 2
+# ---------------------------------------------------------------------------
+# Even one-sided cycles: the balance test against the cycle-space reference
+# ---------------------------------------------------------------------------
 
-    def test_parity_functional_matches_cycle_lengths(self, klein_odd):
-        basis = cycle_space_basis(klein_odd.graph)
-        par = parity_functional(klein_odd.graph, basis)
-        for c in basis.cycles:
-            assert par.evaluate(cycle_edge_set(c)) == len(c) % 2
+def reference_even_one_sided(e):
+    """w1 (negative-edge parity) and the length parity, read on the
+    fundamental cycles.  Returns whether w1 is zero, whether it is the
+    parity, and whether an even one-sided element exists, which over
+    GF(2) is when it is neither."""
+    cycles = cycle_space_basis(e.graph).cycles
+    w1 = tuple(sum(e.sign(c[i - 1], c[i]) < 0 for i in range(len(c))) % 2
+               for c in cycles)
+    parity = tuple(len(c) % 2 for c in cycles)
+    return not any(w1), w1 == parity, any(w1) and w1 != parity
+
+
+def sign_flipped(e, rng, count=3):
+    signs = dict(e.signs)
+    for ed in rng.sample(sorted(signs), count):
+        signs[ed] = -signs[ed]
+    return EmbeddedGraph(e.graph, e.rotations, signs)
+
+
+def test_even_one_sided_class_matches_cycle_space_reference(fixtures):
+    rng = random.Random(20261018)
+    bases = [f.embedding for f in fixtures]
+    bases += [klein_grid(m, n, t) for m in range(3, 6) for n in range(3, 5)
+              for t in range(2)]
+    cases = set()
+    for i, e in enumerate(bases):
+        variants = [drawn(e, i)[0], switch_vertex(e, rng.randrange(e.graph.n))]
+        flips = [sign_flipped(e, rng) for _ in range(6)]
+        for d in [e, *variants, *flips]:
+            zero, parity, exists = reference_even_one_sided(d)
+            assert has_even_one_sided_class(d) == exists
+            cases.add("zero" if zero else "parity" if parity else "neither")
+        # a relabelling and a switch change no class
+        assert len({has_even_one_sided_class(d) for d in [e, *variants]}) == 1
+    assert cases == {"zero", "parity", "neither"}
 
 
 # ---------------------------------------------------------------------------
