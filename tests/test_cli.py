@@ -191,6 +191,30 @@ class TestGenerate:
         assert main(["generate", "unknown-family"]) == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,usage", [
+        (["figure1", "1"], "figure1 takes no parameters"),
+        (["k4-projective", "1", "2"], "k4-projective takes no parameters"),
+        (["k23-sphere", "3"], "k23-sphere takes no parameters"),
+        (["torus-grid", "3"], "torus-grid takes parameters m n"),
+        (["klein-grid", "3", "3", "0", "1"],
+         "klein-grid takes parameters m n [twist]"),
+        (["moebius"], "unknown family 'moebius'"),
+    ])
+    def test_bad_parameters_name_the_usage(self, capsys, argv, usage):
+        assert main(["generate", *argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {usage}\n"
+
+    def test_help_lists_every_family(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--help"])
+        assert exc.value.code == 0
+        words = capsys.readouterr().out.split()
+        for family in ("figure1", "k4-projective", "k23-sphere",
+                       "torus-grid", "klein-grid"):
+            assert family in words
+
 
 class TestInputErrors:
     def test_malformed_json(self, capsys, tmp_path):

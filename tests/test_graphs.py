@@ -127,6 +127,16 @@ class TestCycleSpace:
             for i in range(len(c)):
                 assert c[(i + 1) % len(c)] in fig1.adj[c[i]]
 
+    def test_each_fundamental_cycle_holds_only_its_own_chord(self, fig1):
+        basis = cycle_space_basis(fig1)
+        assert len(basis.nontree_edges) == len(basis.cycles)
+        assert not basis.tree_edges & set(basis.nontree_edges)
+        assert len(basis.tree_edges) == fig1.n - 1
+        for chord, c in zip(basis.nontree_edges, basis.cycles):
+            edges = {norm_edge(c[i - 1], c[i]) for i in range(len(c))}
+            assert len(edges) == len(c)
+            assert edges - basis.tree_edges == {chord}
+
 
 class TestCycleEnumeration:
     def test_k4_has_seven_simple_cycles(self):

@@ -234,6 +234,29 @@ class TestVerifyTheorems:
             else:
                 assert after == before
 
+    def test_failed_min_report_fails_both_of_its_checks(self, monkeypatch,
+                                                          k4p):
+        clean = verify_theorems(k4p)
+        report = invariants.invariant_report
+        attempts = []
+
+        def failing_min(e, rule="min"):
+            if rule == "min":
+                attempts.append(rule)
+                raise InvariantViolation("min report broken")
+            return report(e, rule)
+        monkeypatch.setattr(invariants, "invariant_report", failing_min)
+        verdicts = verify_theorems(k4p)
+        shared = {"gray_parity_agreement", "chromatic_bound"}
+        for before, after in zip(clean, verdicts):
+            if after.name in shared:
+                assert (after.status, after.detail) == \
+                    ("fail", "min report broken")
+            else:
+                assert after == before
+        # the raise is not kept: each of the two checks builds it anew
+        assert attempts == ["min", "min"]
+
     def test_recursion_error_in_a_check_still_raises(self, monkeypatch, k4p):
         def too_deep(a, b):
             raise RecursionError("too deep")

@@ -85,14 +85,19 @@ class TestEmbeddingProperties:
 # Even one-sided cycles: the balance test against the cycle-space reference
 # ---------------------------------------------------------------------------
 
+def one_sidedness_bits(e, cycles):
+    """w1 on each cycle: the parity of its negative edges."""
+    return tuple(sum(e.sign(c[i - 1], c[i]) < 0 for i in range(len(c))) % 2
+                 for c in cycles)
+
+
 def reference_even_one_sided(e):
     """w1 (negative-edge parity) and the length parity, read on the
     fundamental cycles.  Returns whether w1 is zero, whether it is the
     parity, and whether an even one-sided element exists, which over
     GF(2) is when it is neither."""
     cycles = cycle_space_basis(e.graph).cycles
-    w1 = tuple(sum(e.sign(c[i - 1], c[i]) < 0 for i in range(len(c))) % 2
-               for c in cycles)
+    w1 = one_sidedness_bits(e, cycles)
     parity = tuple(len(c) % 2 for c in cycles)
     return not any(w1), w1 == parity, any(w1) and w1 != parity
 
@@ -120,6 +125,22 @@ def test_even_one_sided_class_matches_cycle_space_reference(fixtures):
         # a relabelling and a switch change no class
         assert len({has_even_one_sided_class(d) for d in [e, *variants]}) == 1
     assert cases == {"zero", "parity", "neither"}
+
+
+def test_gauge_invariance_of_even_one_sided_class(k4p, klein_odd):
+    # switching a vertex flips the signs of its edges, which every cycle
+    # through it meets twice, so w1 and the verdict stay as they are
+    rng = random.Random(7)
+    for e in (k4p, klein_odd):
+        cycles = cycle_space_basis(e.graph).cycles
+        w1 = one_sidedness_bits(e, cycles)
+        verdict = has_even_one_sided_class(e)
+        s = e
+        for _ in range(5):
+            s = switch_vertex(s, rng.randrange(e.graph.n))
+            assert one_sidedness_bits(s, cycles) == w1
+            assert has_even_one_sided_class(s) == verdict
+        assert s.signs != e.signs
 
 
 # ---------------------------------------------------------------------------

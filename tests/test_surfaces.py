@@ -93,3 +93,13 @@ class TestInvariants:
     def test_inconsistent_class_rejected(self):
         with pytest.raises(ComplexError):
             SurfaceClass(True, 1, 2)
+
+    def test_class_from_euler(self):
+        for orientable, euler, genus in [(True, 2, 0), (True, 0, 1),
+                                         (True, -2, 2), (False, 1, 1),
+                                         (False, 0, 2), (False, -1, 3)]:
+            assert SurfaceClass.from_euler(orientable, euler) == \
+                SurfaceClass(orientable, genus, euler)
+        # no orientable closed surface has odd euler characteristic
+        with pytest.raises(ComplexError):
+            SurfaceClass.from_euler(True, 1)
