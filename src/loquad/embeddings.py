@@ -8,19 +8,19 @@ cut-along-cycle oracle, embedded isomorphism, and the constructions
 relating embeddings to the Lovász complex.
 
 Every sign question is one balance test on a signed graph
-(`_signs_balanced`): orientability, the existence of an even one-sided
-cycle, and each cut of the oracle.  The cutting oracle decides each cut
-directly (`cut_surface_orientable`): a +-1 gauge factor per cycle vertex
-takes the place of switching, each cycle vertex is split into a left and
-a right copy read off its rotation, and the resulting signed edge list is
-tested for balance, so no cut embedding is built.  The reference for
-that decision, which builds the cut surface, is kept with the tests
-(`tests/cut_reference.py`).
+(`_signs_balanced`).  Orientability and the even one-sided test read the
+vertex signs.  Each cut of the oracle reads the face coherence signs
+(`EmbeddedGraph._dual`): reading a face walk state (u, v, f) as the dart
+u->v with local orientation f at v, an edge whose two face sides are
+(ua, va, ga) and (ub, vb, gb) gets ga * gb when they traverse it in the
+same direction and ga * gb * sign(u, v) when in opposite directions.  The
+faces orient coherently iff these signs are balanced, and a cut removes
+exactly the adjacencies across the cycle's edges, so no cut embedding is
+built; the reference that builds one is `tests/cut_reference.py`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -39,11 +39,11 @@ class EmbeddedGraph:
     """Graph with a cyclic neighbor order per vertex and a sign per edge.
 
     The analyses of the embedding are built once, on first use, and kept
-    with it: the face walks, the quadrangulation and facial verdicts, the
-    outcome of the face-rule hypotheses, the face-rule complex,
-    orientability and the oddness functional.  The public functions below
-    read them.  So neither an embedding nor its `signs` dict may be
-    changed after construction.
+    with it: the face walks and their signed dual table, the
+    quadrangulation and facial verdicts, the outcome of the face-rule
+    hypotheses, the face-rule complex, orientability and the oddness
+    functional.  The public functions below read them.  So neither an
+    embedding nor its `signs` dict may be changed after construction.
     """
 
     graph: Graph
@@ -71,6 +71,10 @@ class EmbeddedGraph:
     @cached_property
     def _walks(self) -> list[list[State]]:
         return _face_state_walks(self)
+
+    @cached_property
+    def _dual(self) -> DualTable:
+        return _dual_table(self)
 
     @cached_property
     def _quad(self) -> QuadVerdict:
@@ -183,6 +187,8 @@ class FaceWalk:
 
 
 State = tuple[int, int, int]    # (from, to, side flag)
+# edge ids, and per face its (edge id, face across, coherence sign) sides
+DualTable = tuple[dict[Edge, int], list[list[tuple[int, int, int]]]]
 
 
 def _rot_step(rot: Sequence[int], u: int, direction: int) -> int:
@@ -256,6 +262,32 @@ def trace_faces(e: EmbeddedGraph) -> list[FaceWalk]:
     return [FaceWalk(tuple((u, v) for u, v, _ in walk)) for walk in e._walks]
 
 
+def _dual_table(e: EmbeddedGraph) -> DualTable:
+    """The signed dual graph: a dense id per edge and, per face, one
+    (edge id, face across, coherence sign) triple per side, with the sign
+    rule of the module docstring; checked against the face walks and
+    against the vertex-sign verdict `_orientable`."""
+    found: dict[Edge, list[tuple[int, State]]] = {ed: [] for ed in e.signs}
+    for fi, walk in enumerate(e._walks):
+        for s in walk:
+            found[norm_edge(s[0], s[1])].append((fi, s))
+    edge_id: dict[Edge, int] = {}
+    sides: list[list[tuple[int, int, int]]] = [[] for _ in e._walks]
+    for i, (ed, pair) in enumerate(found.items()):
+        if len(pair) != 2:
+            raise InvariantViolation(f"edge {ed} has {len(pair)} face sides")
+        (fa, (ua, _, ga)), (fb, (ub, _, gb)) = pair
+        c = ga * gb if ua == ub else ga * gb * e.signs[ed]
+        edge_id[ed] = i
+        sides[fa].append((i, fb, c))
+        sides[fb].append((i, fa, c))
+    if _signs_balanced(len(sides), lambda f: ((h, sc) for _, h, sc in sides[f])
+                       ) != e._orientable:
+        raise InvariantViolation("face coherence and vertex signs disagree "
+                                 "on orientability")
+    return edge_id, sides
+
+
 def euler_characteristic(e: EmbeddedGraph) -> int:
     return e.graph.n - e.graph.num_edges + len(e._walks)
 
@@ -310,21 +342,21 @@ def _signs_balanced(
     """True iff the vertices 0..n-1 admit labels eps in {+1, -1} with
     eps(w) = eps(u) * s for every pair (w, s) in `signed_neighbors(u)`.
 
-    BFS labeling; returns False at the first conflict.
+    Depth-first labeling; returns False at the first conflict.
     """
     eps = [0] * n       # 0 marks an unlabeled vertex
     for s in range(n):
         if eps[s]:
             continue
         eps[s] = 1
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        stack = [s]
+        while stack:
+            u = stack.pop()
             for w, sign in signed_neighbors(u):
                 want = eps[u] * sign
                 if not eps[w]:
                     eps[w] = want
-                    queue.append(w)
+                    stack.append(w)
                 elif eps[w] != want:
                     return False
     return True
@@ -371,73 +403,19 @@ def _check_cut_cycle(e: EmbeddedGraph, cycle: Sequence[int]) -> None:
 def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     """Whether every component of the cut (and capped) surface is orientable.
 
-    Decided without building the cut embedding, which the reference in
-    `tests/cut_reference.py` builds.  Its gauge switches cycle vertex i
-    exactly when the running product of the path signs up to it is -1;
-    that product is kept as a factor per cycle vertex, and the closing
-    sign times the last factor is the one-sidedness of the cycle.  Each
-    cycle vertex gets a left copy (the neighbors strictly between its
-    successor and its predecessor in its rotation, read in reverse where
-    the factor is -1) and a right copy (the rest).  Off-cycle edges and
-    chords join the copies their ends see, re-signed by the factors of
-    those ends; the copies are joined along the cycle by positive edges,
-    with a twisted negative closing pair when the cycle is one-sided.  The
-    cut is orientable iff that signed graph admits a consistent +-1
-    labeling.  Cost O(E) per cut.
+    The faces of the cut surface are those of the embedding; only the
+    adjacencies across the cycle's k edges are gone, and capping adds
+    discs, which change no orientation.  So the cut is orientable iff the
+    coherence signs of `EmbeddedGraph._dual` (the product of the local
+    orientations the two face sides of an edge induce at a shared
+    endpoint) are balanced without those k edges.  Cost O(F + E) per cut,
+    with no cut embedding built; `tests/cut_reference.py` builds it.
     """
     _check_cut_cycle(e, cycle)
-    k = len(cycle)
-    n = e.graph.n
-    signs = e.signs
-    index = {v: i for i, v in enumerate(cycle)}
-    factor = [1] * k
-    for i in range(1, k):
-        factor[i] = factor[i - 1] * signs[norm_edge(cycle[i - 1], cycle[i])]
-    one_sided = factor[k - 1] * signs[norm_edge(cycle[k - 1], cycle[0])] < 0
-
-    # copy n + 2i is the left side of cycle[i], n + 2i + 1 the right side;
-    # the slots of the cycle vertices themselves stay isolated
-    side: dict[tuple[int, int], int] = {}     # (cycle vertex, neighbor)
-    for i, v in enumerate(cycle):
-        rot = e.rotations[v] if factor[i] > 0 else e.rotations[v][::-1]
-        nxt, prv = cycle[(i + 1) % k], cycle[i - 1]
-        d = len(rot)
-        start = rot.index(nxt)
-        copy = n + 2 * i
-        for j in range(start + 1, start + d):
-            u = rot[j % d]
-            if u == prv:
-                copy += 1
-            else:
-                side[v, u] = copy
-
-    signed_adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 2 * k)]
-    for (u, v), s in signs.items():
-        iu, iv = index.get(u), index.get(v)
-        a, b = u, v
-        if iu is not None:
-            if iv is not None and (iu - iv) % k in (1, k - 1):
-                continue    # cycle edges are joined below
-            a, s = side[u, v], s * factor[iu]
-        if iv is not None:
-            b, s = side[v, u], s * factor[iv]
-        signed_adj[a].append((b, s))
-        signed_adj[b].append((a, s))
-    # The twisted closing pair mirrors the reference of
-    # tests/cut_reference.py; it never changes the verdict.  Cutting
-    # along a one-sided C leaves an orientable surface only if w1 is dual
-    # to C, and then every path between the two sides of C already has
-    # sign -1, so joining untwisted gives the same answer.
-    for i in range(k):
-        a_u, a_v = n + 2 * i, n + 2 * ((i + 1) % k)
-        if i < k - 1 or not one_sided:
-            pairs, s = ((a_u, a_v), (a_u + 1, a_v + 1)), 1
-        else:
-            pairs, s = ((a_u, a_v + 1), (a_u + 1, a_v)), -1
-        for a, b in pairs:
-            signed_adj[a].append((b, s))
-            signed_adj[b].append((a, s))
-    return _signs_balanced(len(signed_adj), signed_adj.__getitem__)
+    edge_id, sides = e._dual
+    cut = {edge_id[norm_edge(cycle[i - 1], v)] for i, v in enumerate(cycle)}
+    return _signs_balanced(len(sides), lambda f: (
+        (h, c) for i, h, c in sides[f] if i not in cut))
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,11 @@ def labeled_quads(L: LovaszComplex) -> list[LabeledQuad]:
     return [tuple(L.labels[i] for i in q) for q in lovasz_quads(L)]
 
 
-def symmetric_triangulation(L: LovaszComplex,
-                            labeling: Optional[dict[Label, int]] = None,
+def symmetric_triangulation(quads: list[LabeledQuad],
+                            labeling: dict[Label, int],
                             rule: str = "min") -> list[LabeledTriangle]:
-    """Split each quad of the induced quadrangulation into two triangles.
+    """Split each quad of the induced quadrangulation (`labeled_quads`)
+    into two triangles.
 
     The diagonal goes through the corner of minimum |label| (rule "min")
     or maximum |label| (rule "max").  Either rule commutes with the
@@ -83,11 +84,9 @@ def symmetric_triangulation(L: LovaszComplex,
     """
     if rule not in ("min", "max"):
         raise ValueError(f"unknown triangulation rule {rule!r}")
-    if labeling is None:
-        labeling = build_labeling(L)
     pick: Callable = min if rule == "min" else max
     triangles: list[LabeledTriangle] = []
-    for quad in labeled_quads(L):
+    for quad in quads:
         values = [abs(labeling[c]) for c in quad]
         if len(set(values)) != 4:
             raise HypothesisError("quad corners have distinct |label|",
@@ -184,7 +183,7 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     lo_class = classify(L.base)
     labeling = build_labeling(L)
     quads = labeled_quads(L)
-    triangles = symmetric_triangulation(L, labeling, rule)
+    triangles = symmetric_triangulation(quads, labeling, rule)
     gray = gray_count(triangles, labeling)
     r = cyclic_quad_count(quads, labeling)
     if gray % 2 != r % 2:

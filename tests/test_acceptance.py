@@ -160,9 +160,9 @@ def test_acceptance_6_oddness_equivalence(fixtures):
         verdict = is_odd_quadrangulation(e, run_oracle=True,
                                          oracle_cap=oracle_cap(e))
         L = lovasz_from_quadrangulation(e)
-        lab = build_labeling(L)
-        g_min = gray_count(symmetric_triangulation(L, lab, "min"), lab)
-        g_max = gray_count(symmetric_triangulation(L, lab, "max"), lab)
+        lab, quads = build_labeling(L), labeled_quads(L)
+        g_min = gray_count(symmetric_triangulation(quads, lab, "min"), lab)
+        g_max = gray_count(symmetric_triangulation(quads, lab, "max"), lab)
         if g_min % 2 != g_max % 2:
             mismatches.append(f"{name}: rule disagreement")
         if (g_min % 2 == 1) != verdict.odd:
@@ -187,10 +187,10 @@ def test_acceptance_7_gray_cyclic_congruence(fixtures):
         if not is_quadrangulation(e).ok or not all_4cycles_facial(e).ok:
             continue
         L = lovasz_from_quadrangulation(e)
-        lab = build_labeling(L)
+        lab, quads = build_labeling(L), labeled_quads(L)
+        r = cyclic_quad_count(quads, lab)
         for rule in ("min", "max"):
-            g = gray_count(symmetric_triangulation(L, lab, rule), lab)
-            r = cyclic_quad_count(labeled_quads(L), lab)
+            g = gray_count(symmetric_triangulation(quads, lab, rule), lab)
             assert g % 2 == r % 2, fx.name
         checked += 1
     assert checked >= 6

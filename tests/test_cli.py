@@ -286,16 +286,30 @@ def test_failing_check_gives_a_fail_verdict(capsys, monkeypatch,
     assert report["chromatic_bound"]["status"] == "pass"
 
 
-def test_optimized_mode_gives_identical_output(fixture_path):
-    # the mathematical cross-checks are explicit, so python -O runs them too
+def run_with_and_without_optimization(*args):
+    """The stdout of `python -m loquad *args`, the same with and without
+    -O; both runs must exit 0."""
     src = str(Path(loquad.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["-m", "loquad", "invariants",
-            fixture_path("klein-grid-3-5-0.emb.json"), "--exact-chi"]
-    runs = [subprocess.run([sys.executable, *flags, *argv], env=env,
-                           capture_output=True, timeout=120)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "loquad", *args],
+                           env=env, capture_output=True, timeout=120)
             for flags in ([], ["-O"])]
     for run in runs:
         assert run.returncode == EXIT_OK, run.stderr
     assert runs[0].stdout == runs[1].stdout
-    assert json.loads(runs[0].stdout)["odd"] is True
+    return json.loads(runs[0].stdout)
+
+
+def test_optimized_mode_gives_identical_output(fixture_path):
+    # the mathematical cross-checks are explicit, so python -O runs them too
+    report = run_with_and_without_optimization(
+        "invariants", fixture_path("klein-grid-3-5-0.emb.json"), "--exact-chi")
+    assert report["odd"] is True
+
+
+def test_optimized_mode_gives_identical_oracle_output(fixture_path):
+    # the oracle's cuts read the face coherence table, whose cross-check
+    # against the vertex signs is explicit as well
+    report = run_with_and_without_optimization(
+        "verify", "--oracle", fixture_path("klein-grid-3-5-0.emb.json"))
+    assert report["gray_parity_agreement"] == {"status": "pass", "detail": ""}

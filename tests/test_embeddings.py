@@ -2,7 +2,7 @@ import pytest
 
 from cut_reference import cut_along_cycle
 from loquad.complexes import HypothesisError
-from loquad.embeddings import (_cup_product, _star_cocycles,
+from loquad.embeddings import (EmbeddedGraph, _cup_product, _star_cocycles,
                                all_4cycles_facial, cut_surface_orientable,
                                embedded, embedded_isomorphic,
                                euler_characteristic, is_odd_quadrangulation,
@@ -12,7 +12,7 @@ from loquad.embeddings import (_cup_product, _star_cocycles,
                                oddness_oracle, surface_class, switch_vertex,
                                trace_faces)
 from loquad.generators import klein_grid, torus_grid
-from loquad.graphs import is_bipartite
+from loquad.graphs import InvariantViolation, is_bipartite
 from loquad.surfaces import SurfaceClass
 
 
@@ -103,6 +103,21 @@ class TestCutting:
     def test_cut_orientizes_exactly_on_odd_instances(self, k4p):
         # any odd cycle of K4 orientizes the projective plane
         assert cut_surface_orientable(k4p, (0, 1, 2))
+
+    def test_dual_table_checks_sides_and_orientability(self, k4p, t33):
+        # the face coherence table is checked against the face walks and
+        # against the vertex-sign verdict when it is built; a stale kept
+        # analysis stands in for a wrong one
+        for e in (k4p, t33):
+            wrong_verdict = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+            wrong_verdict.__dict__["_orientable"] = \
+                not is_orientable_embedding(e)
+            with pytest.raises(InvariantViolation, match="disagree"):
+                cut_surface_orientable(wrong_verdict, (0, 1, 2))
+            face_lost = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+            face_lost.__dict__["_walks"] = face_lost._walks[1:]
+            with pytest.raises(InvariantViolation, match="1 face sides"):
+                cut_surface_orientable(face_lost, (0, 1, 2))
 
 
 class TestOddness:

@@ -42,10 +42,10 @@ class TestLabeling:
 
 class TestSymmetricTriangulation:
     def test_sizes(self, k4p, t33):
-        Lk = lovasz_from_quadrangulation(k4p)
-        assert len(symmetric_triangulation(Lk)) == 12
-        Lt = lovasz_from_quadrangulation(t33)
-        assert len(symmetric_triangulation(Lt)) == 36
+        for e, size in ((k4p, 12), (t33, 36)):
+            L = lovasz_from_quadrangulation(e)
+            tris = symmetric_triangulation(labeled_quads(L), build_labeling(L))
+            assert len(tris) == size
 
     def test_triangulation_is_involution_invariant(self, k4p, klein_odd):
         for e in (k4p, klein_odd):
@@ -53,7 +53,8 @@ class TestSymmetricTriangulation:
             lab = build_labeling(L)
             for rule in ("min", "max"):
                 tris = {frozenset(lab[v] for v in t)
-                        for t in symmetric_triangulation(L, lab, rule)}
+                        for t in symmetric_triangulation(labeled_quads(L),
+                                                         lab, rule)}
                 for t in tris:
                     mirror = frozenset(-x for x in t)
                     assert mirror in tris
@@ -62,7 +63,8 @@ class TestSymmetricTriangulation:
     def test_unknown_rule_rejected(self, k4p):
         L = lovasz_from_quadrangulation(k4p)
         with pytest.raises(ValueError):
-            symmetric_triangulation(L, rule="diagonal")
+            symmetric_triangulation(labeled_quads(L), build_labeling(L),
+                                    rule="diagonal")
 
 
 class TestGrayness:
@@ -88,7 +90,8 @@ class TestGrayness:
     def test_gray_count_k4(self, k4p):
         L = lovasz_from_quadrangulation(k4p)
         lab = build_labeling(L)
-        assert gray_count(symmetric_triangulation(L, lab), lab) == 3
+        tris = symmetric_triangulation(labeled_quads(L), lab)
+        assert gray_count(tris, lab) == 3
 
     def test_rule_choice_preserves_parity(self, fixtures):
         for fx in fixtures:
@@ -99,18 +102,18 @@ class TestGrayness:
                 L = lovasz_from_quadrangulation(e)
             except HypothesisError:
                 continue
-            lab = build_labeling(L)
-            g_min = gray_count(symmetric_triangulation(L, lab, "min"), lab)
-            g_max = gray_count(symmetric_triangulation(L, lab, "max"), lab)
+            lab, quads = build_labeling(L), labeled_quads(L)
+            g_min = gray_count(symmetric_triangulation(quads, lab, "min"), lab)
+            g_max = gray_count(symmetric_triangulation(quads, lab, "max"), lab)
             assert g_min % 2 == g_max % 2
 
     def test_gray_parity_equals_cyclic_parity(self, k4p, t33, klein_odd,
                                               klein_even):
         for e in (k4p, t33, klein_odd, klein_even):
             L = lovasz_from_quadrangulation(e)
-            lab = build_labeling(L)
-            g = gray_count(symmetric_triangulation(L, lab), lab)
-            r = cyclic_quad_count(labeled_quads(L), lab)
+            lab, quads = build_labeling(L), labeled_quads(L)
+            g = gray_count(symmetric_triangulation(quads, lab), lab)
+            r = cyclic_quad_count(quads, lab)
             assert g % 2 == r % 2
 
     def test_relabeling_invariance_of_gray_parity(self, k4p):
@@ -319,7 +322,15 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
 
     monkeypatch.setattr(surfaces, "_surface_verdict", counting_verdict)
     monkeypatch.setattr(complexes, "_link_walk", counting_link_walk)
+    quads_labeled = []
+    label_quads = invariants.labeled_quads
+
+    def counting_labeled_quads(L):
+        quads_labeled.append(L)
+        return label_quads(L)
+
     monkeypatch.setattr(invariants, "invariant_report", counting_report)
+    monkeypatch.setattr(invariants, "labeled_quads", counting_labeled_quads)
     e = verify_input
     verdicts = verify_theorems(e)
     assert all(v.passed for v in verdicts), verdicts
@@ -334,3 +345,5 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     assert len(links_walked) == 280
     # gray_parity_agreement and chromatic_bound share the min-rule report
     assert reports_built == ["min", "max"]
+    # each report labels the quads of its complex once
+    assert len(quads_labeled) == 2

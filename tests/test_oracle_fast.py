@@ -1,8 +1,11 @@
 """The cutting oracle's fast paths against their slow references.
 
-`cut_surface_orientable` decides orientability of the cut surface without
-building it; `cut_along_cycle` (in `cut_reference.py`) followed by
-`is_orientable_embedding` is the reference.  `enumerate_simple_cycles`
+`cut_surface_orientable` decides orientability of the cut surface from the
+face coherence signs of the uncut embedding, with the cycle's edges left
+out.  The reference builds the cut surface: `cut_along_cycle` (in
+`cut_reference.py`) followed by `is_orientable_embedding`.  The fixtures
+include a bipartite one (no odd cycle), an orientable one with a
+non-facial 4-cycle, and a twisted Klein grid.  `enumerate_simple_cycles`
 runs on an explicit stack and emits its paths as they are; the recursive
 version it replaced is kept below as the reference.  Seeds are fixed.
 """
@@ -18,7 +21,7 @@ from loquad.embeddings import (EmbeddedGraph, cut_surface_orientable,
                                is_orientable_embedding, oddness_oracle)
 from loquad.generators import klein_grid, shipped_fixtures, torus_grid
 from loquad.graphs import (Graph, GraphError, canonical_cycle,
-                           enumerate_simple_cycles)
+                           enumerate_simple_cycles, is_bipartite)
 
 
 def reference_cut(e, cycle):
@@ -42,17 +45,23 @@ def one_variant(cycle, rng):
 def fixture(name):
     if name == "torus_grid(3,3)":
         return torus_grid(3, 3)
+    if name == "klein_grid(4,4,1)":
+        return klein_grid(4, 4, 1)
     return next(f.embedding for f in shipped_fixtures() if f.name == name)
 
 
 # (fixture, cycle selection, seed): every cycle of the small ones, a seeded
-# sample of 6-3-0, and the first 3000 cycles of the two capped ones
+# sample of 6-3-0 and of klein_grid(4,4,1), and the first 3000 cycles of the
+# two capped ones.  k23-sphere is bipartite, so it has no odd cycle.
 DIFFERENTIAL = [
     ("k4-projective", "all", 1),
     ("klein-grid-3-5-0", "all", 2),
     ("klein-grid-3-5-1", "all", 3),
     ("torus_grid(3,3)", "all", 4),
+    ("k23-sphere", "all", 8),
+    ("torus-grid-3-4", "all", 9),
     ("klein-grid-6-3-0", "sample", 5),
+    ("klein_grid(4,4,1)", "sample", 10),
     ("klein-grid-5-5-0", "first", 6),
     ("klein-grid-6-5-0", "first", 7),
 ]
@@ -72,14 +81,17 @@ def test_fast_cut_matches_reference(name, selection, seed):
         if selection == "sample":
             cycles = rng.sample(cycles, 2000)
     small = len(cycles) <= 400
-    assert {len(c) % 2 for c in cycles} == {0, 1}
+    assert {len(c) % 2 for c in cycles} == (
+        {0} if is_bipartite(e.graph).bipartite else {0, 1})
 
     # identity input: the reference on every selected cycle
     expected = {}
     for c in cycles:
         expected[c] = reference_cut(e, c)
         assert cut_surface_orientable(e, c) == expected[c], c
-    assert len(set(expected.values())) == (1 if name.startswith("torus")
+    # every cut of an orientable surface is orientable; a non-orientable
+    # one has cuts either way among the selected cycles
+    assert len(set(expected.values())) == (1 if is_orientable_embedding(e)
                                            else 2)
 
     # every rotation and direction: all cycles when few, else a sample
@@ -260,11 +272,15 @@ def test_enumeration_matches_reference_on_random_graphs():
 # ---------------------------------------------------------------------------
 
 def test_oracle_builds_no_embeddings(monkeypatch):
-    odd_quad, even_quad = klein_grid(3, 5, 0), klein_grid(6, 3, 0)
-    built, enumerated, cut = [], [], []
+    # fresh objects: the generators' self-checks have traced their faces
+    odd_quad, even_quad = (EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+                           for e in (klein_grid(3, 5, 0), klein_grid(6, 3, 0)))
+    built, enumerated, cut, traced, duals = [], [], [], [], []
     post_init = EmbeddedGraph.__post_init__
     enumerate_cycles = embeddings.enumerate_simple_cycles
     cut_orientable = embeddings.cut_surface_orientable
+    face_walks = embeddings._face_state_walks
+    dual_table = embeddings._dual_table
 
     def counting_post_init(self):
         built.append(self)
@@ -279,10 +295,20 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         cut.append(cycle)
         return cut_orientable(e, cycle)
 
+    def counting_walks(e):
+        traced.append(e)
+        return face_walks(e)
+
+    def counting_dual(e):
+        duals.append(e)
+        return dual_table(e)
+
     monkeypatch.setattr(EmbeddedGraph, "__post_init__", counting_post_init)
     monkeypatch.setattr(embeddings, "enumerate_simple_cycles",
                         counting_enumerate)
     monkeypatch.setattr(embeddings, "cut_surface_orientable", counting_cut)
+    monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
+    monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
     verdict, witness, complete = oddness_oracle(odd_quad, 200000)
     assert not built
     assert len(enumerated) == 7331
@@ -291,6 +317,8 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     # the witness is the first odd cycle, in enumeration order, that is cut
     odd = [c for c in enumerated if len(c) % 2]
     assert cut == odd[:len(cut)] and witness.cycle == cut[-1]
+    # the cuts read one face trace and one dual table of the embedding
+    assert traced == [odd_quad] and duals == [odd_quad]
 
     # an even quadrangulation: every odd cycle up to the cap is cut
     enumerated.clear()
@@ -300,3 +328,6 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert len(enumerated) == 3000
     assert cut == [c for c in enumerated if len(c) % 2]
     assert not built
+    # still one trace and one table per embedding, over 1,527 cuts
+    assert len(cut) == 1527
+    assert traced == duals == [odd_quad, even_quad]
