@@ -7,16 +7,17 @@ covers face tracing, quadrangulation checks, the sign-balance tests, the
 cut-along-cycle oracle, embedded isomorphism, and the constructions
 relating embeddings to the Lovász complex.
 
-Every sign question is one balance test on a signed graph
-(`_signs_balanced`).  Orientability and the even one-sided test read the
-vertex signs.  Each cut of the oracle reads the face coherence signs
-(`EmbeddedGraph._dual`): reading a face walk state (u, v, f) as the dart
+Orientability and the even one-sided test are balance tests on the
+vertex signs (`_signs_balanced`).  The cuts of the oracle read the face
+coherence signs instead: reading a face walk state (u, v, f) as the dart
 u->v with local orientation f at v, an edge whose two face sides are
 (ua, va, ga) and (ub, vb, gb) gets ga * gb when they traverse it in the
 same direction and ga * gb * sign(u, v) when in opposite directions.  The
-faces orient coherently iff these signs are balanced, and a cut removes
-exactly the adjacencies across the cycle's edges, so no cut embedding is
-built; the reference that builds one is `tests/cut_reference.py`.
+faces orient coherently iff these signs are balanced.  Their class over
+the fundamental cycles of the dual graph, and each edge's mask over those
+cycles, are built once per embedding (`EmbeddedGraph._dual`); a cut is
+then decided from the masks of the cycle's k edges, so no cut embedding
+is built.  The reference that builds one is `tests/cut_reference.py`.
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ class FaceWalk:
 
 
 State = tuple[int, int, int]    # (from, to, side flag)
-# edge ids, and per face its (edge id, face across, coherence sign) sides
-DualTable = tuple[dict[Edge, int], list[list[tuple[int, int, int]]]]
+# per edge, in both directions, the fundamental dual cycles holding it as a
+# bitmask; and the class of the coherence signs as such a bitmask
+DualTable = tuple[dict[tuple[int, int], int], int]
 
 
 def _rot_step(rot: Sequence[int], u: int, direction: int) -> int:
@@ -263,29 +265,89 @@ def trace_faces(e: EmbeddedGraph) -> list[FaceWalk]:
 
 
 def _dual_table(e: EmbeddedGraph) -> DualTable:
-    """The signed dual graph: a dense id per edge and, per face, one
-    (edge id, face across, coherence sign) triple per side, with the sign
-    rule of the module docstring; checked against the face walks and
-    against the vertex-sign verdict `_orientable`."""
+    """The class of the face coherence signs on the dual graph.
+
+    The dual graph has a vertex per face and an edge per edge of the
+    embedding, joining its two face sides, with the coherence sign of the
+    module docstring.  A spanning forest of it fixes one fundamental dual
+    cycle per non-forest edge.  Returns a bitmask over those cycles for
+    every edge, keyed by both of its directions, that marks the cycles
+    holding it, and the class of the coherence signs: the mask of the
+    cycles whose sign product is -1.  Checked against the face walks, the
+    disc around every vertex and the vertex-sign verdict `_orientable`.
+    """
     found: dict[Edge, list[tuple[int, State]]] = {ed: [] for ed in e.signs}
     for fi, walk in enumerate(e._walks):
         for s in walk:
             found[norm_edge(s[0], s[1])].append((fi, s))
-    edge_id: dict[Edge, int] = {}
-    sides: list[list[tuple[int, int, int]]] = [[] for _ in e._walks]
+    around = [1] * e.graph.n
+    sides: list[tuple[int, int, int]] = []      # per edge id: fa, fb, sign
+    dual: list[list[tuple[int, int]]] = [[] for _ in e._walks]
     for i, (ed, pair) in enumerate(found.items()):
         if len(pair) != 2:
             raise InvariantViolation(f"edge {ed} has {len(pair)} face sides")
         (fa, (ua, _, ga)), (fb, (ub, _, gb)) = pair
         c = ga * gb if ua == ub else ga * gb * e.signs[ed]
-        edge_id[ed] = i
-        sides[fa].append((i, fb, c))
-        sides[fb].append((i, fa, c))
-    if _signs_balanced(len(sides), lambda f: ((h, sc) for _, h, sc in sides[f])
-                       ) != e._orientable:
+        around[ed[0]] *= c
+        around[ed[1]] *= c
+        sides.append((fa, fb, c))
+        dual[fa].append((i, fb))
+        dual[fb].append((i, fa))
+    # the faces at a vertex form a disc, so they orient coherently around
+    # it; the cut rule of `cut_surface_orientable` rests on this
+    for v, c in enumerate(around):
+        if c != 1:
+            raise InvariantViolation(
+                f"coherence signs around vertex {e.graph.names[v]} "
+                f"multiply to -1")
+    # a depth-first spanning forest, each face oriented along it from its
+    # root; `order` lists every face after its parent, `up` the forest
+    # edge to its parent
+    eps = [0] * len(dual)
+    up: list[Optional[tuple[int, int]]] = [None] * len(dual)
+    order: list[int] = []
+    for root in range(len(dual)):
+        if eps[root]:
+            continue
+        eps[root] = 1
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            order.append(f)
+            for i, h in dual[f]:
+                if not eps[h]:
+                    eps[h] = eps[f] * sides[i][2]
+                    up[h] = (i, f)
+                    stack.append(h)
+    # each non-forest edge gets its own bit, and each face the bits of the
+    # non-forest edges at it; a forest edge lies on exactly the cycles of
+    # the edges with one end below it
+    forest = {u[0] for u in up if u is not None}
+    bits = [0] * len(sides)
+    below = [0] * len(dual)
+    cls = 0
+    bit = 1
+    for i, (fa, fb, c) in enumerate(sides):
+        if i in forest:
+            continue
+        bits[i] = bit
+        below[fa] ^= bit
+        below[fb] ^= bit
+        if eps[fa] * eps[fb] * c < 0:
+            cls |= bit
+        bit <<= 1
+    for f in reversed(order):
+        if up[f] is not None:
+            i, p = up[f]
+            bits[i] = below[f]
+            below[p] ^= below[f]
+    if (cls == 0) != e._orientable:
         raise InvariantViolation("face coherence and vertex signs disagree "
                                  "on orientability")
-    return edge_id, sides
+    masks: dict[tuple[int, int], int] = {}
+    for (u, v), m in zip(found, bits):
+        masks[u, v] = masks[v, u] = m
+    return masks, cls
 
 
 def euler_characteristic(e: EmbeddedGraph) -> int:
@@ -404,18 +466,27 @@ def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     """Whether every component of the cut (and capped) surface is orientable.
 
     The faces of the cut surface are those of the embedding; only the
-    adjacencies across the cycle's k edges are gone, and capping adds
+    adjacencies across the cycle's k edges C are gone, and capping adds
     discs, which change no orientation.  So the cut is orientable iff the
-    coherence signs of `EmbeddedGraph._dual` (the product of the local
-    orientations the two face sides of an edge induce at a shared
-    endpoint) are balanced without those k edges.  Cost O(F + E) per cut,
-    with no cut embedding built; `tests/cut_reference.py` builds it.
+    coherence signs c become balanced when the signs on some subset S of
+    C are flipped.  Balanced signs, like c, multiply to +1 around every
+    vertex, so every vertex meets S an even number of times; a vertex of
+    the cycle meets C in its two cycle edges only, so S is empty or all
+    of C.  The cut is orientable iff the class of c in
+    `EmbeddedGraph._dual` is zero or equals the XOR of the masks of C's
+    edges.  Cost O(k) after one O(F + E) table per embedding; no cut
+    embedding is built, `tests/cut_reference.py` builds it.
     """
     _check_cut_cycle(e, cycle)
-    edge_id, sides = e._dual
-    cut = {edge_id[norm_edge(cycle[i - 1], v)] for i, v in enumerate(cycle)}
-    return _signs_balanced(len(sides), lambda f: (
-        (h, c) for i, h, c in sides[f] if i not in cut))
+    masks, cls = e._dual
+    if cls == 0:
+        return True
+    flipped = 0
+    u = cycle[-1]
+    for v in cycle:
+        flipped ^= masks[u, v]
+        u = v
+    return flipped == cls
 
 
 # ---------------------------------------------------------------------------

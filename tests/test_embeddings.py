@@ -105,9 +105,9 @@ class TestCutting:
         assert cut_surface_orientable(k4p, (0, 1, 2))
 
     def test_dual_table_checks_sides_and_orientability(self, k4p, t33):
-        # the face coherence table is checked against the face walks and
-        # against the vertex-sign verdict when it is built; a stale kept
-        # analysis stands in for a wrong one
+        # the face coherence table is checked against the face walks, the
+        # disc around every vertex and the vertex-sign verdict when it is
+        # built; a stale kept analysis stands in for a wrong one
         for e in (k4p, t33):
             wrong_verdict = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
             wrong_verdict.__dict__["_orientable"] = \
@@ -118,6 +118,18 @@ class TestCutting:
             face_lost.__dict__["_walks"] = face_lost._walks[1:]
             with pytest.raises(InvariantViolation, match="1 face sides"):
                 cut_surface_orientable(face_lost, (0, 1, 2))
+            # one side flag turned: the coherence signs around the two ends
+            # of that edge no longer multiply to +1, the premise of the cut
+            # rule
+            turned = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+            walks = [list(w) for w in turned._walks]
+            u, v, f = walks[0][0]
+            walks[0][0] = (u, v, -f)
+            turned.__dict__["_walks"] = walks
+            first = e.graph.names[min(u, v)]
+            with pytest.raises(InvariantViolation,
+                               match=f"around vertex {first} multiply to -1"):
+                cut_surface_orientable(turned, (0, 1, 2))
 
 
 class TestOddness:

@@ -1,13 +1,15 @@
 """The cutting oracle's fast paths against their slow references.
 
 `cut_surface_orientable` decides orientability of the cut surface from the
-face coherence signs of the uncut embedding, with the cycle's edges left
-out.  The reference builds the cut surface: `cut_along_cycle` (in
-`cut_reference.py`) followed by `is_orientable_embedding`.  The fixtures
+class of the face coherence signs of the uncut embedding and the masks of
+the cycle's edges.  The reference builds the cut surface: `cut_along_cycle`
+(in `cut_reference.py`) followed by `is_orientable_embedding`.  The fixtures
 include a bipartite one (no odd cycle), an orientable one with a
-non-facial 4-cycle, and a twisted Klein grid.  `enumerate_simple_cycles`
-runs on an explicit stack and emits its paths as they are; the recursive
-version it replaced is kept below as the reference.  Seeds are fixed.
+non-facial 4-cycle, and a twisted Klein grid; seeded random rotation
+systems of small graphs add faces that meet themselves.
+`enumerate_simple_cycles` runs on an explicit stack and emits its paths as
+they are; the recursive version it replaced is kept below as the
+reference.  Seeds are fixed.
 """
 
 import random
@@ -21,7 +23,7 @@ from loquad.embeddings import (EmbeddedGraph, cut_surface_orientable,
                                is_orientable_embedding, oddness_oracle)
 from loquad.generators import klein_grid, shipped_fixtures, torus_grid
 from loquad.graphs import (Graph, GraphError, canonical_cycle,
-                           enumerate_simple_cycles, is_bipartite)
+                           enumerate_simple_cycles, is_bipartite, norm_edge)
 
 
 def reference_cut(e, cycle):
@@ -118,6 +120,74 @@ def test_fast_cut_matches_reference(name, selection, seed):
             assert reference_cut(d, variants[0]) == expected[c], c
 
 
+# the oracle's (verdict, witness cycle, complete) on every shipped fixture
+# at the caps of `oracle_cap`, recorded before the cut became a table look-up
+PINNED_ORACLE = {
+    "k4-projective": (True, (0, 1, 2), True),
+    "k23-sphere": (False, None, True),
+    "torus-grid-3-3": (True, (0, 1, 2), True),
+    "torus-grid-3-4": (True, (0, 1, 2), True),
+    "klein-grid-3-5-0": (True, (0, 1, 2), True),
+    "klein-grid-3-5-1": (True, (0, 1, 2), True),
+    "klein-grid-6-3-0": (False, None, True),
+    "klein-grid-5-5-0": (True, (0, 1, 2, 3, 4), False),
+    "klein-grid-6-5-0": (None, None, False),
+}
+
+
+def test_oracle_outputs_are_pinned(fixtures):
+    assert [f.name for f in fixtures] == list(PINNED_ORACLE)
+    for f in fixtures:
+        e = f.embedding
+        verdict, witness, complete = oddness_oracle(e, oracle_cap(e))
+        got = (verdict, witness.cycle if witness else None, complete)
+        assert got == PINNED_ORACLE[f.name], f.name
+
+
+def random_rotation_system(g, seed):
+    """A seeded rotation per vertex and a seeded sign per edge of g."""
+    rng = random.Random(seed)
+    rotations = []
+    for v in range(g.n):
+        rot = sorted(g.adj[v])
+        rng.shuffle(rot)
+        rotations.append(tuple(rot))
+    signs = {ed: rng.choice((1, -1)) for ed in g.edges}
+    return EmbeddedGraph(g, tuple(rotations), signs)
+
+
+def meets_itself(e):
+    """Whether some face has both sides of one edge."""
+    for walk in e._walks:
+        edges = [norm_edge(u, v) for u, v, _ in walk]
+        if len(set(edges)) != len(edges):
+            return True
+    return False
+
+
+# 40 fixed seeds per graph; faces of every length, and faces that meet
+# themselves across an edge, which no quadrangulation above has
+ROTATION_SEEDS = range(40)
+
+
+def test_cut_matches_reference_on_random_rotation_systems():
+    graphs = {"K4": complete_graph(4), "K5": complete_graph(5),
+              "K33": complete_bipartite(3, 3), "Petersen": petersen()}
+    queries = self_meeting = 0
+    for name, g in graphs.items():
+        cycles, overflow = enumerate_simple_cycles(g, 100000)
+        assert not overflow
+        for seed in ROTATION_SEEDS:
+            e = random_rotation_system(g, seed)
+            self_meeting += meets_itself(e)
+            for c in cycles:
+                assert cut_surface_orientable(e, c) == reference_cut(e, c), \
+                    (name, seed, c)
+                queries += 1
+    assert queries == 40 * (7 + 37 + 15 + 57)
+    assert self_meeting == 156
+
+
 def bad_inputs(e):
     """Sequences that are not simple cycles of length >= 3 of e."""
     g = e.graph
@@ -191,6 +261,11 @@ def complete_graph(n):
                                 for j in range(i + 1, n)])
 
 
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a)
+                                    for j in range(b)])
+
+
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -231,9 +306,7 @@ def test_long_cycle_needs_no_recursion():
         recursive_enumerate(cycle_graph(n))
 
 
-@pytest.mark.parametrize("g", [complete_graph(5),
-                               Graph.from_edges(6, [(i, j) for i in range(3)
-                                                    for j in range(3, 6)]),
+@pytest.mark.parametrize("g", [complete_graph(5), complete_bipartite(3, 3),
                                petersen()],
                          ids=["K5", "K33", "Petersen"])
 def test_enumeration_matches_recursive_reference(g):
@@ -276,11 +349,13 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     odd_quad, even_quad = (EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
                            for e in (klein_grid(3, 5, 0), klein_grid(6, 3, 0)))
     built, enumerated, cut, traced, duals = [], [], [], [], []
+    balanced, balanced_at_table = [], []
     post_init = EmbeddedGraph.__post_init__
     enumerate_cycles = embeddings.enumerate_simple_cycles
     cut_orientable = embeddings.cut_surface_orientable
     face_walks = embeddings._face_state_walks
     dual_table = embeddings._dual_table
+    signs_balanced = embeddings._signs_balanced
 
     def counting_post_init(self):
         built.append(self)
@@ -301,7 +376,13 @@ def test_oracle_builds_no_embeddings(monkeypatch):
 
     def counting_dual(e):
         duals.append(e)
-        return dual_table(e)
+        table = dual_table(e)
+        balanced_at_table.append(len(balanced))
+        return table
+
+    def counting_balanced(n, signed_neighbors):
+        balanced.append(n)
+        return signs_balanced(n, signed_neighbors)
 
     monkeypatch.setattr(EmbeddedGraph, "__post_init__", counting_post_init)
     monkeypatch.setattr(embeddings, "enumerate_simple_cycles",
@@ -309,6 +390,7 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     monkeypatch.setattr(embeddings, "cut_surface_orientable", counting_cut)
     monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
     monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
+    monkeypatch.setattr(embeddings, "_signs_balanced", counting_balanced)
     verdict, witness, complete = oddness_oracle(odd_quad, 200000)
     assert not built
     assert len(enumerated) == 7331
@@ -319,6 +401,9 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert cut == odd[:len(cut)] and witness.cycle == cut[-1]
     # the cuts read one face trace and one dual table of the embedding
     assert traced == [odd_quad] and duals == [odd_quad]
+    # the table's check reads the vertex-sign verdict, one balance test;
+    # the cuts after it run none
+    assert balanced == [odd_quad.graph.n] and balanced_at_table == [1]
 
     # an even quadrangulation: every odd cycle up to the cap is cut
     enumerated.clear()
@@ -331,3 +416,5 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     # still one trace and one table per embedding, over 1,527 cuts
     assert len(cut) == 1527
     assert traced == duals == [odd_quad, even_quad]
+    assert balanced == [odd_quad.graph.n, even_quad.graph.n]
+    assert balanced_at_table == [1, 2]
