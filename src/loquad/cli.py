@@ -215,7 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also run the cut-along-cycle oracle")
     sp.add_argument("--cap-cycles", type=int,
                     default=DEFAULT_ORACLE_CYCLE_CAP, metavar="N",
-                    help="simple-cycle enumeration cap for the oracle")
+                    help="most simple cycles the oracle examines; a witness "
+                         "ends its search sooner")
     sp.add_argument("--cap-chi", type=int, default=DEFAULT_CHROMATIC_CAP,
                     metavar="N", help="largest n for exact coloring")
     common(sp)

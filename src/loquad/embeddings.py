@@ -29,9 +29,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         _assemble_lovasz)
 from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, Edge, Graph, GraphError,
-                     InvariantViolation, canonical_cycle,
-                     enumerate_simple_cycles, four_cycles, is_bipartite,
-                     is_connected, norm_edge)
+                     InvariantViolation, canonical_cycle, four_cycles,
+                     is_bipartite, is_connected, norm_edge, simple_cycles)
 from .surfaces import SurfaceClass, classify
 
 
@@ -478,6 +477,11 @@ def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     embedding is built, `tests/cut_reference.py` builds it.
     """
     _check_cut_cycle(e, cycle)
+    return _cut_orientable(e, cycle)
+
+
+def _cut_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
+    """`cut_surface_orientable` for a cycle known to be simple."""
     masks, cls = e._dual
     if cls == 0:
         return True
@@ -502,6 +506,15 @@ class OrientizingWitness:
 
 @dataclass(frozen=True)
 class OddnessVerdict:
+    """The homological oddness verdict, and what the cutting oracle found
+    when it ran.
+
+    `oracle_complete` is True when the oracle settled its own verdict: it
+    found a witness, which ends its search, or it examined every simple
+    cycle within its cap.  It is False when the cap stopped the search
+    without a witness, and when the oracle did not run.
+    """
+
     odd: bool
     witness: Optional[OrientizingWitness] = None
     oracle_ran: bool = False
@@ -579,17 +592,24 @@ def oddness_functional(e: EmbeddedGraph) -> bool:
 
 def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
                    ) -> tuple[Optional[bool], Optional[OrientizingWitness], bool]:
-    """Exhaustive cutting oracle: search odd simple cycles whose cut orientizes.
+    """Cutting oracle: search the odd simple cycles for one whose cut
+    orientizes the surface.
 
-    Returns (verdict, witness, complete).  The verdict is None when the
-    enumeration overflowed before finding a witness.
+    Reads the cycles of `simple_cycles` one at a time, in its order, and
+    decides each odd one in O(k) by `_cut_orientable`; no cycle list is
+    kept.  Returns (verdict, witness, complete):
+    - (True, the first such cycle, True) once one is found among the
+      first `max_cycles` cycles, which ends the search;
+    - (False, None, True) when the graph has at most `max_cycles` cycles
+      and none is such;
+    - (None, None, False) when the first `max_cycles` cycles hold none
+      and there are more; a cap of zero or below examines none.
     """
-    cycles, overflow = enumerate_simple_cycles(e.graph, max_cycles)
-    for c in cycles:
-        if len(c) % 2 == 1 and cut_surface_orientable(e, c):
-            return True, OrientizingWitness(c, len(c), True), not overflow
-    if overflow:
-        return None, None, False
+    for examined, c in enumerate(simple_cycles(e.graph)):
+        if examined >= max_cycles:
+            return None, None, False
+        if len(c) % 2 == 1 and _cut_orientable(e, c):
+            return True, OrientizingWitness(c, len(c), True), True
     return False, None, True
 
 

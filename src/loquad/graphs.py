@@ -8,9 +8,10 @@ integer bitmasks (for the common-neighbor kernels).
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -380,52 +381,96 @@ def cycle_space_basis(g: Graph) -> CycleSpaceBasis:
 # ---------------------------------------------------------------------------
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically minimal rotation/reflection of a vertex cycle."""
+    """Lexicographically minimal rotation/reflection of a vertex cycle.
+
+    Only rotations that start at a least vertex can be minimal, so only
+    those are compared.
+    """
     k = len(cycle)
+    least = min(cycle)
     best = None
-    for seq in (list(cycle), list(reversed(cycle))):
+    for seq in (tuple(cycle), tuple(reversed(cycle))):
+        doubled = seq + seq
         for s in range(k):
-            rot = tuple(seq[(s + j) % k] for j in range(k))
-            if best is None or rot < best:
-                best = rot
+            if seq[s] == least:
+                rot = doubled[s:s + k]
+                if best is None or rot < best:
+                    best = rot
     assert best is not None
     return best
+
+
+def simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Every simple cycle once, as a canonical vertex tuple, lazily.
+
+    Backtracks from each minimal vertex r, visiting only larger vertices,
+    and kills reflections by requiring second vertex s < last vertex; the
+    path is then already the canonical form of its cycle.  Neighbors are
+    taken in ascending order, and a path is emitted when its last vertex
+    joins it, before the search extends it.
+
+    A path from r through s closes only at a neighbor of r larger than s,
+    a closer (the closing-vertex idea of Johnson, "Finding all the
+    elementary circuits of a directed graph", SIAM J. Comput. 4, 1975, in
+    a lighter form).  So s is skipped when r has no larger neighbor than
+    s, and a path that has just taken the last closer not yet on it is
+    emitted and not extended.  This prunes only subtrees that emit
+    nothing, so the order is that of the plain search.
+
+    The search keeps an explicit stack of neighbor iterators, so its depth
+    is not bounded by the interpreter's recursion limit; it holds one
+    path, never a list of cycles, and stops when its consumer does.
+    """
+    nbrs = [sorted(a) for a in g.adj]
+    on_path = [False] * g.n
+    closer = [False] * g.n
+    for root in range(g.n):
+        larger = nbrs[root][bisect.bisect(nbrs[root], root):]
+        for w in larger:
+            closer[w] = True
+        for i, s in enumerate(larger[:-1]):
+            closer[s] = False
+            left = len(larger) - 1 - i      # closers not on the path
+            path = [root, s]
+            on_path[s] = True
+            stack = [iter(nbrs[s])]
+            while stack:
+                for w in stack[-1]:
+                    if w > root and not on_path[w]:
+                        path.append(w)
+                        if closer[w]:
+                            yield tuple(path)
+                            if left == 1:
+                                path.pop()
+                                continue
+                            left -= 1
+                        on_path[w] = True
+                        stack.append(iter(nbrs[w]))
+                        break
+                else:
+                    stack.pop()
+                    w = path.pop()
+                    on_path[w] = False
+                    left += closer[w]
+        if larger:
+            closer[larger[-1]] = False
 
 
 def enumerate_simple_cycles(g: Graph,
                             max_count: int = DEFAULT_ORACLE_CYCLE_CAP
                             ) -> tuple[list[tuple[int, ...]], bool]:
-    """All simple cycles as canonical vertex tuples, plus an overflow flag.
+    """The first `max_count` cycles of `simple_cycles`, in its order, and
+    an overflow flag that is True when the graph has more.
 
-    Backtracks from each minimal vertex, visiting only larger vertices, and
-    kills reflections by requiring second vertex < last vertex; the path
-    is then already the canonical form of its cycle.  The search keeps an
-    explicit stack of neighbor iterators, so its depth is not bounded by
-    the interpreter's recursion limit.  When the count would exceed
-    `max_count` the search stops and the flag is True.
+    A list of every cycle up to the cap; a search that can stop early
+    should read `simple_cycles` instead.  A cap below zero acts as zero.
     """
-    cycles: list[tuple[int, ...]] = []
-    nbrs = [sorted(a) for a in g.adj]
-    on_path = [False] * g.n
-    for root in range(g.n):
-        path = [root]
-        stack = [iter(nbrs[root])]
-        while stack:
-            for w in stack[-1]:
-                if w == root:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        if len(cycles) >= max_count:
-                            return cycles, True
-                        cycles.append(tuple(path))
-                elif w > root and not on_path[w]:
-                    path.append(w)
-                    on_path[w] = True
-                    stack.append(iter(nbrs[w]))
-                    break
-            else:
-                stack.pop()
-                on_path[path.pop()] = False
-    return cycles, False
+    cap = max(max_count, 0)
+    cycles = list(itertools.islice(simple_cycles(g), cap + 1))
+    overflow = len(cycles) > cap
+    if overflow:
+        cycles.pop()
+    return cycles, overflow
 
 
 def four_cycles(g: Graph) -> list[tuple[int, ...]]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from loquad.graphs import (CapExceeded, Graph, GraphError, canonical_cycle,
@@ -147,6 +149,17 @@ class TestCycleEnumeration:
     def test_canonical_form_identifies_rotations_and_reflections(self):
         assert canonical_cycle((2, 0, 1)) == canonical_cycle((0, 2, 1))
         assert canonical_cycle((3, 1, 2, 0)) == canonical_cycle((1, 3, 0, 2))
+
+    def test_canonical_form_is_the_least_of_all_rotations(self):
+        # against every rotation of both directions, on seeded sequences
+        # whose least vertex repeats, as in a closed walk
+        rng = random.Random(3)
+        for _ in range(500):
+            seq = [rng.randrange(5) for _ in range(rng.randint(1, 9))]
+            k = len(seq)
+            every = [tuple(s[(i + j) % k] for j in range(k))
+                     for s in (seq, seq[::-1]) for i in range(k)]
+            assert canonical_cycle(seq) == min(every), seq
 
     def test_four_cycles_of_k4(self):
         assert len(four_cycles(complete_graph(4))) == 3

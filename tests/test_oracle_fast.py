@@ -7,12 +7,20 @@ the cycle's edges.  The reference builds the cut surface: `cut_along_cycle`
 include a bipartite one (no odd cycle), an orientable one with a
 non-facial 4-cycle, and a twisted Klein grid; seeded random rotation
 systems of small graphs add faces that meet themselves.
-`enumerate_simple_cycles` runs on an explicit stack and emits its paths as
-they are; the recursive version it replaced is kept below as the
-reference.  Seeds are fixed.
+`simple_cycles` runs on an explicit stack, prunes the subtrees that
+cannot close a cycle and emits its paths as they are; the plain recursive
+search it replaced is kept below as the reference for the cycles and
+their order, on every shipped fixture and two seeded draws of each.
+`oddness_oracle` streams those cycles and stops at its first witness; it
+is compared with the first witness in the reference's list at caps just
+before, at and beyond it, and its memory peak shows that it keeps no
+list.  Seeds are fixed.
 """
 
+import functools
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,8 +30,9 @@ from loquad import embeddings
 from loquad.embeddings import (EmbeddedGraph, cut_surface_orientable,
                                is_orientable_embedding, oddness_oracle)
 from loquad.generators import klein_grid, shipped_fixtures, torus_grid
-from loquad.graphs import (Graph, GraphError, canonical_cycle,
-                           enumerate_simple_cycles, is_bipartite, norm_edge)
+from loquad.graphs import (DEFAULT_ORACLE_CYCLE_CAP, Graph, GraphError,
+                           canonical_cycle, enumerate_simple_cycles,
+                           is_bipartite, norm_edge, simple_cycles)
 
 
 def reference_cut(e, cycle):
@@ -121,7 +130,9 @@ def test_fast_cut_matches_reference(name, selection, seed):
 
 
 # the oracle's (verdict, witness cycle, complete) on every shipped fixture
-# at the caps of `oracle_cap`, recorded before the cut became a table look-up
+# at the caps of `oracle_cap`, recorded before the cut became a table
+# look-up; klein-grid-5-5-0 has more cycles than its cap, but a witness
+# ends the search and settles the verdict, so that search is complete
 PINNED_ORACLE = {
     "k4-projective": (True, (0, 1, 2), True),
     "k23-sphere": (False, None, True),
@@ -130,7 +141,7 @@ PINNED_ORACLE = {
     "klein-grid-3-5-0": (True, (0, 1, 2), True),
     "klein-grid-3-5-1": (True, (0, 1, 2), True),
     "klein-grid-6-3-0": (False, None, True),
-    "klein-grid-5-5-0": (True, (0, 1, 2, 3, 4), False),
+    "klein-grid-5-5-0": (True, (0, 1, 2, 3, 4), True),
     "klein-grid-6-5-0": (None, None, False),
 }
 
@@ -312,24 +323,40 @@ def test_long_cycle_needs_no_recursion():
 def test_enumeration_matches_recursive_reference(g):
     total = len(assert_pinned(g, 100000)[0])
     # caps that stop the search inside a root's subtree, and at the edges
-    for cap in sorted({0, 1, 2, total // 3, total // 2, total - 1, total,
-                       total + 1}):
+    for cap in sorted({-1, 0, 1, 2, total // 3, total // 2, total - 1,
+                       total, total + 1}):
         cycles, overflow = assert_pinned(g, cap)
         assert overflow == (cap < total)
-        assert len(cycles) == min(cap, total)
+        assert len(cycles) == min(max(cap, 0), total)
 
 
-def test_enumeration_matches_reference_on_fixtures():
-    for f in shipped_fixtures():
-        if f.name == "klein-grid-6-3-0":
-            continue        # pinned below, where its size is the point
-        assert_pinned(f.embedding.graph, oracle_cap(f.embedding))
+# every shipped fixture as shipped and in two seeded draws
+STREAM_CASES = [(f.name, seed) for f in shipped_fixtures()
+                for seed in (None, 21, 22)]
 
 
-def test_enumeration_matches_reference_on_klein_grid_6_3_0(klein_even):
-    cycles, overflow = assert_pinned(klein_even.graph,
-                                     oracle_cap(klein_even))
-    assert len(cycles) == 40097 and not overflow
+@functools.lru_cache(maxsize=None)
+def stream_case(name, seed):
+    """A shipped fixture (seed None) or a seeded draw of it, and the first
+    `oracle_cap` + 1 cycles of the recursive reference."""
+    e = fixture(name)
+    if seed is not None:
+        e, _ = drawn(e, seed)
+    cycles, _ = recursive_enumerate(e.graph, oracle_cap(e) + 1)
+    return e, cycles
+
+
+@pytest.mark.parametrize("name, seed", STREAM_CASES,
+                         ids=[f"{n}-{s}" for n, s in STREAM_CASES])
+def test_enumeration_matches_reference_on_fixtures(name, seed):
+    e, cycles = stream_case(name, seed)
+    cap = oracle_cap(e)
+    assert list(itertools.islice(simple_cycles(e.graph),
+                                 len(cycles))) == cycles
+    assert enumerate_simple_cycles(e.graph, cap) == (cycles[:cap],
+                                                     len(cycles) > cap)
+    if name == "klein-grid-6-3-0":
+        assert len(cycles) == 40097
 
 
 def test_enumeration_matches_reference_on_random_graphs():
@@ -341,18 +368,19 @@ def test_enumeration_matches_reference_on_random_graphs():
 
 
 # ---------------------------------------------------------------------------
-# Work counts: no embedding is built per cut
+# Work counts: no embedding is built per cut, and a witness ends the search
 # ---------------------------------------------------------------------------
 
 def test_oracle_builds_no_embeddings(monkeypatch):
     # fresh objects: the generators' self-checks have traced their faces
     odd_quad, even_quad = (EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
                            for e in (klein_grid(3, 5, 0), klein_grid(6, 3, 0)))
-    built, enumerated, cut, traced, duals = [], [], [], [], []
+    built, drawn_cycles, cut, checked, traced, duals = [], [], [], [], [], []
     balanced, balanced_at_table = [], []
     post_init = EmbeddedGraph.__post_init__
-    enumerate_cycles = embeddings.enumerate_simple_cycles
-    cut_orientable = embeddings.cut_surface_orientable
+    cycles_of = embeddings.simple_cycles
+    cut_orientable = embeddings._cut_orientable
+    check_cut_cycle = embeddings._check_cut_cycle
     face_walks = embeddings._face_state_walks
     dual_table = embeddings._dual_table
     signs_balanced = embeddings._signs_balanced
@@ -361,14 +389,18 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         built.append(self)
         post_init(self)
 
-    def counting_enumerate(g, cap):
-        result = enumerate_cycles(g, cap)
-        enumerated.extend(result[0])
-        return result
+    def counting_cycles(g):
+        for c in cycles_of(g):
+            drawn_cycles.append(c)
+            yield c
 
     def counting_cut(e, cycle):
         cut.append(cycle)
         return cut_orientable(e, cycle)
+
+    def counting_check(e, cycle):
+        checked.append(cycle)
+        return check_cut_cycle(e, cycle)
 
     def counting_walks(e):
         traced.append(e)
@@ -385,36 +417,120 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         return signs_balanced(n, signed_neighbors)
 
     monkeypatch.setattr(EmbeddedGraph, "__post_init__", counting_post_init)
-    monkeypatch.setattr(embeddings, "enumerate_simple_cycles",
-                        counting_enumerate)
-    monkeypatch.setattr(embeddings, "cut_surface_orientable", counting_cut)
+    monkeypatch.setattr(embeddings, "simple_cycles", counting_cycles)
+    monkeypatch.setattr(embeddings, "_cut_orientable", counting_cut)
+    monkeypatch.setattr(embeddings, "_check_cut_cycle", counting_check)
     monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
     monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
     monkeypatch.setattr(embeddings, "_signs_balanced", counting_balanced)
     verdict, witness, complete = oddness_oracle(odd_quad, 200000)
     assert not built
-    assert len(enumerated) == 7331
-    assert sum(len(c) % 2 for c in enumerated) == 3648
     assert verdict is True and complete
-    # the witness is the first odd cycle, in enumeration order, that is cut
-    odd = [c for c in enumerated if len(c) % 2]
-    assert cut == odd[:len(cut)] and witness.cycle == cut[-1]
+    # the search stops at its witness: of the 7,331 cycles it examines the
+    # witness's position + 1, the first odd cycle whose cut orientizes
+    every, overflow = enumerate_simple_cycles(odd_quad.graph, 200000)
+    assert len(every) == 7331 and not overflow
+    assert drawn_cycles == every[:every.index(witness.cycle) + 1]
+    assert cut == [c for c in drawn_cycles if len(c) % 2]
+    assert witness.cycle == cut[-1] == (0, 1, 2)
+    # the enumerated cycles are simple: no cut re-checks them
+    assert not checked
     # the cuts read one face trace and one dual table of the embedding
     assert traced == [odd_quad] and duals == [odd_quad]
     # the table's check reads the vertex-sign verdict, one balance test;
     # the cuts after it run none
     assert balanced == [odd_quad.graph.n] and balanced_at_table == [1]
 
-    # an even quadrangulation: every odd cycle up to the cap is cut
-    enumerated.clear()
+    # an even quadrangulation: every odd cycle up to the cap is cut, and
+    # one more cycle is drawn to learn that the cap stopped the search
+    drawn_cycles.clear()
     cut.clear()
     verdict, witness, complete = oddness_oracle(even_quad, 3000)
     assert (verdict, witness, complete) == (None, None, False)
-    assert len(enumerated) == 3000
-    assert cut == [c for c in enumerated if len(c) % 2]
-    assert not built
+    assert len(drawn_cycles) == 3001
+    assert cut == [c for c in drawn_cycles[:3000] if len(c) % 2]
+    assert not built and not checked
     # still one trace and one table per embedding, over 1,527 cuts
     assert len(cut) == 1527
     assert traced == duals == [odd_quad, even_quad]
     assert balanced == [odd_quad.graph.n, even_quad.graph.n]
     assert balanced_at_table == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# The streamed oracle against the list reference
+# ---------------------------------------------------------------------------
+
+def first_witness(e, cycles):
+    """The index of the first odd cycle in the list whose cut
+    `cut_surface_orientable` accepts, or None."""
+    return next((i for i, c in enumerate(cycles)
+                 if len(c) % 2 and cut_surface_orientable(e, c)), None)
+
+
+@pytest.mark.parametrize("name, seed", STREAM_CASES,
+                         ids=[f"{n}-{s}" for n, s in STREAM_CASES])
+def test_streamed_oracle_matches_list_reference(name, seed):
+    e, cycles = stream_case(name, seed)
+    cap = oracle_cap(e)
+    k = first_witness(e, cycles[:cap])
+    if k is not None:
+        # a cap of k stops just before the witness, k + 1 takes it
+        caps = {k, k + 1, cap}
+    elif len(cycles) <= cap:
+        # no witness among all the cycles: one short of them leaves the
+        # search open
+        caps = {len(cycles) - 1, len(cycles), cap}
+    else:
+        caps = {cap}
+    for c in sorted(caps):
+        # the first witness among the first c cycles; without one, False
+        # when there are no more than c cycles, else None
+        if k is not None and k < c:
+            expected = (True, cycles[k])
+        else:
+            expected = (False if len(cycles) <= c else None, None)
+        got, found, complete = oddness_oracle(e, c)
+        assert (got, found.cycle if found else None) == expected, c
+        assert complete == (got is not None), c
+        if found:
+            assert found.length == len(found.cycle)
+            assert found.cut_surface_orientable
+
+
+def tree_embedding():
+    return EmbeddedGraph(Graph.from_edges(3, [(0, 1), (1, 2)]),
+                         ((1,), (0, 2), (1,)), {(0, 1): 1, (1, 2): -1})
+
+
+def test_oracle_cap_edge_cases(fixtures):
+    for f in fixtures:
+        e = f.embedding
+        # a cap of zero or below examines no cycle, and every fixture has
+        # one, so the search is open
+        for cap in (0, -1):
+            assert oddness_oracle(e, cap) == (None, None, False), f.name
+        if e.graph.n <= 18:
+            default = oddness_oracle(e)
+            assert default == oddness_oracle(e, DEFAULT_ORACLE_CYCLE_CAP)
+            assert default[0] is not None and default[2], f.name
+    # a graph without cycles: nothing to examine, the search is complete
+    # at every cap
+    for cap in (-1, 0, 1, DEFAULT_ORACLE_CYCLE_CAP):
+        assert oddness_oracle(tree_embedding(), cap) == (False, None, True)
+    assert list(simple_cycles(tree_embedding().graph)) == []
+
+
+def test_oracle_holds_no_cycle_list():
+    e = klein_grid(6, 3, 0)
+    e = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+    e._dual     # the table is built once per embedding, not per search
+    tracemalloc.start()
+    try:
+        result = oddness_oracle(e, 200000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all 40,097 cycles are examined; a list of them would take 6.3 MB
+    assert result == (False, None, True)
+    assert peak < 256 * 1024, peak
