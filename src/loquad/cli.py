@@ -234,14 +234,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     for cap in ("cap_chi", "cap_cycles"):
-        if getattr(args, cap, 1) is not None and getattr(args, cap, 1) <= 0:
+        if getattr(args, cap, 1) <= 0:
             print(f"error: --{cap.replace('_', '-')} must be positive",
                   file=sys.stderr)
             return EXIT_INPUT
     try:
         return args.func(args)
     except (FileFormatError, GraphError, HypothesisError, ComplexError,
-            RuntimeError, RecursionError) as exc:
+            RuntimeError) as exc:
         # RuntimeError also covers CapExceeded, InvariantViolation and
         # RecursionError; any other Exception reaches the caller
         print(f"error: {exc}", file=sys.stderr)

@@ -8,16 +8,20 @@ cut-along-cycle oracle, embedded isomorphism, and the constructions
 relating embeddings to the Lovász complex.
 
 Orientability and the even one-sided test are balance tests on the
-vertex signs (`_signs_balanced`).  The cuts of the oracle read the face
-coherence signs instead: reading a face walk state (u, v, f) as the dart
-u->v with local orientation f at v, an edge whose two face sides are
+vertex signs (`_signs_balanced`).  Oddness and the oracle's cuts read the
+face coherence signs instead: reading a face walk state (u, v, f) as the
+dart u->v with local orientation f at v, an edge whose two face sides are
 (ua, va, ga) and (ub, vb, gb) gets ga * gb when they traverse it in the
-same direction and ga * gb * sign(u, v) when in opposite directions.  The
-faces orient coherently iff these signs are balanced.  Their class over
-the fundamental cycles of the dual graph, and each edge's mask over those
-cycles, are built once per embedding (`EmbeddedGraph._dual`); a cut is
-then decided from the masks of the cycle's k edges, so no cut embedding
-is built.  The reference that builds one is `tests/cut_reference.py`.
+same direction and ga * gb * sign(u, v) when in opposite directions.
+Orienting the faces along a spanning forest of the dual graph
+(`_face_coherence`) leaves the set R of edges whose two sides do not
+cancel.  R is a cycle dual to the one-sidedness class w1: it is empty iff
+the surface is orientable, and a quadrangulation is odd iff |R| is odd.
+A cut of the oracle reads each edge's mask over the fundamental dual
+cycles and the class of the signs over them (`EmbeddedGraph._dual`), in
+O(k).  The references, `tests/cut_reference.py` and
+`tests/oddness_reference.py`, build the cut embedding and the cup
+product on a star triangulation.
 """
 
 from __future__ import annotations
@@ -139,14 +143,24 @@ class EmbeddedGraph:
 
     @cached_property
     def _odd(self) -> bool:
-        triangles, cw, cp = _star_cocycles(self)
-        # Wu consistency check: the self-pairing of w1 is the Euler
-        # characteristic mod 2.
+        for walk in self._walks:
+            corners = [v for _, v, _ in walk]
+            if len(set(corners)) != len(corners):
+                raise HypothesisError("faces are simple cycles",
+                                      f"face walk {tuple(corners)}")
+            if len(corners) % 2 != 0:
+                raise HypothesisError("faces have even length",
+                                      f"face walk {tuple(corners)}")
+        _, reversal, _, _ = _face_coherence(self)
+        # Wu consistency check: w1 squared, the number of negative edges
+        # of R, is the Euler characteristic mod 2
         chi = euler_characteristic(self)
-        if _cup_product(triangles, cw, cw) != chi % 2:
+        negative = sum(s < 0 for s, rev in zip(self.signs.values(), reversal)
+                       if rev)
+        if negative % 2 != chi % 2:
             raise InvariantViolation(
                 f"w1 squared disagrees with the Euler characteristic {chi}")
-        return _cup_product(triangles, cp, cw) == 1
+        return sum(reversal) % 2 == 1
 
 
 def embedded(n: int, edges: Iterable[tuple[int, int]],
@@ -187,8 +201,8 @@ class FaceWalk:
 
 
 State = tuple[int, int, int]    # (from, to, side flag)
-# per edge, in both directions, the fundamental dual cycles holding it as a
-# bitmask; and the class of the coherence signs as such a bitmask
+Coherence = tuple[list[tuple[int, int, int]], list[bool],
+                  list[Optional[tuple[int, int]]], list[int]]
 DualTable = tuple[dict[tuple[int, int], int], int]
 
 
@@ -263,29 +277,28 @@ def trace_faces(e: EmbeddedGraph) -> list[FaceWalk]:
     return [FaceWalk(tuple((u, v) for u, v, _ in walk)) for walk in e._walks]
 
 
-def _dual_table(e: EmbeddedGraph) -> DualTable:
-    """The class of the face coherence signs on the dual graph.
-
-    The dual graph has a vertex per face and an edge per edge of the
-    embedding, joining its two face sides, with the coherence sign of the
-    module docstring.  A spanning forest of it fixes one fundamental dual
-    cycle per non-forest edge.  Returns a bitmask over those cycles for
-    every edge, keyed by both of its directions, that marks the cycles
-    holding it, and the class of the coherence signs: the mask of the
-    cycles whose sign product is -1.  Checked against the face walks, the
-    disc around every vertex and the vertex-sign verdict `_orientable`.
+def _face_coherence(e: EmbeddedGraph) -> Coherence:
+    """Orient the faces along a depth-first spanning forest of the dual
+    graph: a vertex per face, an edge per edge joining its two face sides
+    with its coherence sign.  Returns per edge, in the order of `signs`,
+    its two faces and sign, and whether it is in R (its sides do not
+    cancel); per face the forest edge to its parent; and the faces, each
+    after its parent.  Checked against the face walks, the disc around
+    every vertex and the vertex-sign verdict `_orientable`.
     """
-    found: dict[Edge, list[tuple[int, State]]] = {ed: [] for ed in e.signs}
+    # per edge its face sides, flat: face, state, face, state
+    found: dict[Edge, list] = {ed: [] for ed in e.signs}
     for fi, walk in enumerate(e._walks):
         for s in walk:
-            found[norm_edge(s[0], s[1])].append((fi, s))
+            found[norm_edge(s[0], s[1])] += fi, s
     around = [1] * e.graph.n
     sides: list[tuple[int, int, int]] = []      # per edge id: fa, fb, sign
     dual: list[list[tuple[int, int]]] = [[] for _ in e._walks]
     for i, (ed, pair) in enumerate(found.items()):
-        if len(pair) != 2:
-            raise InvariantViolation(f"edge {ed} has {len(pair)} face sides")
-        (fa, (ua, _, ga)), (fb, (ub, _, gb)) = pair
+        if len(pair) != 4:
+            raise InvariantViolation(
+                f"edge {ed} has {len(pair) // 2} face sides")
+        fa, (ua, _, ga), fb, (ub, _, gb) = pair
         c = ga * gb if ua == ub else ga * gb * e.signs[ed]
         around[ed[0]] *= c
         around[ed[1]] *= c
@@ -293,15 +306,12 @@ def _dual_table(e: EmbeddedGraph) -> DualTable:
         dual[fa].append((i, fb))
         dual[fb].append((i, fa))
     # the faces at a vertex form a disc, so they orient coherently around
-    # it; the cut rule of `cut_surface_orientable` rests on this
+    # it; the cut rule of `cut_surface_orientable` and R rest on this
     for v, c in enumerate(around):
         if c != 1:
             raise InvariantViolation(
                 f"coherence signs around vertex {e.graph.names[v]} "
                 f"multiply to -1")
-    # a depth-first spanning forest, each face oriented along it from its
-    # root; `order` lists every face after its parent, `up` the forest
-    # edge to its parent
     eps = [0] * len(dual)
     up: list[Optional[tuple[int, int]]] = [None] * len(dual)
     order: list[int] = []
@@ -318,21 +328,33 @@ def _dual_table(e: EmbeddedGraph) -> DualTable:
                     eps[h] = eps[f] * sides[i][2]
                     up[h] = (i, f)
                     stack.append(h)
+    reversal = [eps[fa] * eps[fb] * c < 0 for fa, fb, c in sides]
+    if any(reversal) == e._orientable:
+        raise InvariantViolation("face coherence and vertex signs disagree "
+                                 "on orientability")
+    return sides, reversal, up, order
+
+
+def _dual_table(e: EmbeddedGraph) -> DualTable:
+    """Per edge, in both directions, the mask of the fundamental cycles of
+    `_face_coherence`'s forest that hold it; and the class of the
+    coherence signs, the mask of the cycles whose sign product is -1."""
+    sides, reversal, up, order = _face_coherence(e)
     # each non-forest edge gets its own bit, and each face the bits of the
-    # non-forest edges at it; a forest edge lies on exactly the cycles of
-    # the edges with one end below it
+    # non-forest edges at it; a forest edge, never reversed, lies on
+    # exactly the cycles of the edges with one end below it
     forest = {u[0] for u in up if u is not None}
     bits = [0] * len(sides)
-    below = [0] * len(dual)
+    below = [0] * len(up)
     cls = 0
     bit = 1
-    for i, (fa, fb, c) in enumerate(sides):
+    for i, (fa, fb, _) in enumerate(sides):
         if i in forest:
             continue
         bits[i] = bit
         below[fa] ^= bit
         below[fb] ^= bit
-        if eps[fa] * eps[fb] * c < 0:
+        if reversal[i]:
             cls |= bit
         bit <<= 1
     for f in reversed(order):
@@ -340,11 +362,8 @@ def _dual_table(e: EmbeddedGraph) -> DualTable:
             i, p = up[f]
             bits[i] = below[f]
             below[p] ^= below[f]
-    if (cls == 0) != e._orientable:
-        raise InvariantViolation("face coherence and vertex signs disagree "
-                                 "on orientability")
     masks: dict[tuple[int, int], int] = {}
-    for (u, v), m in zip(found, bits):
+    for (u, v), m in zip(e.signs, bits):
         masks[u, v] = masks[v, u] = m
     return masks, cls
 
@@ -521,71 +540,16 @@ class OddnessVerdict:
     oracle_complete: bool = False
 
 
-def _star_cocycles(e: EmbeddedGraph
-                   ) -> tuple[list[tuple[int, int, int]],
-                              dict[tuple[int, int], int],
-                              dict[tuple[int, int], int]]:
-    """Star triangulation of the embedding surface with two cocycles.
-
-    Each face gets a center vertex joined to its corners; the side flag of
-    the face walk at a corner is the sign of that spoke, which makes every
-    small triangle two-sided.  Returns (triangles, w1, parity) where the
-    cocycles are 0/1 edge maps: w1 marks negative edges and parity is 1 on
-    original edges, alternating 0/1 on the spokes of each (even) face.
-    """
-    n = e.graph.n
-    triangles = []
-    cw = {ed: (1 if s == -1 else 0) for ed, s in e.signs.items()}
-    cp = {ed: 1 for ed in e.signs}
-    for fi, walk in enumerate(e._walks):
-        x = n + fi
-        corners = [v for _, v, _ in walk]
-        if len(set(corners)) != len(corners):
-            raise HypothesisError("faces are simple cycles",
-                                  f"face walk {tuple(corners)}")
-        if len(corners) % 2 != 0:
-            raise HypothesisError("faces have even length",
-                                  f"face walk {tuple(corners)}")
-        for k, (_, v, flag) in enumerate(walk):
-            spoke = norm_edge(x, v)
-            cw[spoke] = 1 if flag == -1 else 0
-            cp[spoke] = k % 2
-        for k in range(len(corners)):
-            triangles.append((x, corners[k], corners[(k + 1) % len(corners)]))
-    for x, a, b in triangles:
-        for name, c in (("w1", cw), ("parity", cp)):
-            if (c[norm_edge(x, a)] + c[norm_edge(x, b)]
-                    + c[norm_edge(a, b)]) % 2:
-                raise InvariantViolation(
-                    f"{name} cochain is not a cocycle on triangle "
-                    f"{(x, a, b)}")
-    return triangles, cw, cp
-
-
-def _cup_product(triangles: list[tuple[int, int, int]],
-                 left: dict[tuple[int, int], int],
-                 right: dict[tuple[int, int], int]) -> int:
-    """Pairing of two cocycle classes, evaluated on the fundamental class.
-
-    Simplicial cup product with the global integer order on vertices:
-    sum over triangles v0 < v1 < v2 of left(v0,v1) * right(v1,v2).
-    """
-    total = 0
-    for t in triangles:
-        v0, v1, v2 = sorted(t)
-        total += left[norm_edge(v0, v1)] * right[norm_edge(v1, v2)]
-    return total % 2
-
-
 def oddness_functional(e: EmbeddedGraph) -> bool:
     """Homological oddness: length parity evaluated on the dual of the
     one-sidedness class.
 
     An odd cycle whose cut orientizes the surface must be dual to the
     one-sidedness class w1, so one exists at the homology level exactly
-    when the parity class pairs nontrivially with w1 under the cup
-    product.  Faces must be simple even cycles so that both classes
-    descend to the surface.
+    when w1's dual cycle has odd length.  That dual is the set R of edges
+    reversed by the face coherence signs (module docstring), so this is
+    the parity of |R|, in O(F + E).  Faces must be simple even cycles so
+    that the length parity descends to the surface.
     """
     return e._odd
 

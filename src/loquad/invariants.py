@@ -282,9 +282,9 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
       a surface.
     - quotient_round_trip: folding the complex back down reproduces the
       input embedding up to embedded isomorphism.
-    - gray_parity_agreement: gray parity matches the homological oddness
-      decision (and the cutting oracle when requested), and both
-      triangulation rules give the same parity.
+    - gray_parity_agreement: the gray parity of both triangulation rules
+      matches the oddness decision, which `invariant_report` checks as it
+      builds each report, and the cutting oracle agrees when requested.
     - chromatic_bound: the exact chromatic number respects index + 2.
     """
     g = e.graph
@@ -411,20 +411,16 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
             out.append(_skip(name, "oddness is defined on non-orientable "
                                    "surfaces"))
         else:
-            report_min = min_report()
-            report_max = invariant_report(e, rule="max")
-            odd = oddness_functional(e)
-            problems = []
-            if (report_min.gray_count % 2 == 1) != odd:
-                problems.append("gray parity disagrees with the homological "
-                                "decision")
-            if report_min.gray_count % 2 != report_max.gray_count % 2:
-                problems.append("triangulation rules disagree")
+            # each report raises when its gray parity contradicts the
+            # oddness decision, so both rules agree with it past here
+            min_report()
+            invariant_report(e, rule="max")
+            ok = True
             if run_oracle:
                 verdict_oracle, _, _ = oddness_oracle(e, oracle_cap)
-                if verdict_oracle is not None and verdict_oracle != odd:
-                    problems.append("cutting oracle disagrees")
-            out.append(_verdict(name, not problems, "; ".join(problems)))
+                ok = verdict_oracle in (None, oddness_functional(e))
+            out.append(_verdict(name, ok,
+                                "" if ok else "cutting oracle disagrees"))
 
     name = "chromatic_bound"
     with _guarded(out, name):

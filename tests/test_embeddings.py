@@ -1,19 +1,22 @@
 import pytest
 
+from conftest import drawn
 from cut_reference import cut_along_cycle
+from loquad import embeddings
 from loquad.complexes import HypothesisError
-from loquad.embeddings import (EmbeddedGraph, _cup_product, _star_cocycles,
-                               all_4cycles_facial, cut_surface_orientable,
-                               embedded, embedded_isomorphic,
-                               euler_characteristic, is_odd_quadrangulation,
+from loquad.embeddings import (EmbeddedGraph, all_4cycles_facial,
+                               cut_surface_orientable, embedded,
+                               embedded_isomorphic, euler_characteristic,
+                               is_odd_quadrangulation,
                                is_orientable_embedding, is_quadrangulation,
                                lovasz_from_quadrangulation,
                                lovasz_quotient_embedding, oddness_functional,
                                oddness_oracle, surface_class, switch_vertex,
                                trace_faces)
-from loquad.generators import klein_grid, torus_grid
+from loquad.generators import klein_grid, shipped_fixtures, torus_grid
 from loquad.graphs import InvariantViolation, is_bipartite
 from loquad.surfaces import SurfaceClass
+from oddness_reference import _cup_product, _star_cocycles, cup_product_odd
 
 
 def sphere_quad():
@@ -158,14 +161,61 @@ class TestOddness:
         with pytest.raises(HypothesisError):
             is_odd_quadrangulation(sphere_quad())   # bipartite
 
-    def test_wu_self_check_across_fixtures(self, fixtures):
-        for fx in fixtures:
-            e = fx.embedding
-            if not is_quadrangulation(e).ok:
-                continue
+    def test_reversal_parity_matches_cup_product(self):
+        # the fixtures, Klein grids m, n in 3..9 with twists 0..2 and torus
+        # grids m, n in 3..6, each as generated and in three seeded draws
+        base = [f.embedding for f in shipped_fixtures()]
+        base += [klein_grid(m, n, t) for m in range(3, 10)
+                 for n in range(3, 10) for t in range(3)]
+        base += [torus_grid(m, n) for m in range(3, 7) for n in range(3, 7)]
+        corpus = [e for b in base
+                  for e in (b, *(drawn(b, seed)[0] for seed in (1, 2, 3)))]
+        odd_cases = 0
+        for e in corpus:
+            _, reversal, _, _ = embeddings._face_coherence(e)
+            r = [ed for ed, rev in zip(e.signs, reversal) if rev]
+            # R is a Z2 cycle, empty exactly on orientable embeddings
+            degree = [0] * e.graph.n
+            for u, v in r:
+                degree[u] += 1
+                degree[v] += 1
+            assert all(d % 2 == 0 for d in degree)
+            assert (not r) == is_orientable_embedding(e)
+            assert is_quadrangulation(e).ok
+            # Wu's identity, on R and in the reference
+            assert sum(e.signs[ed] < 0 for ed in r) % 2 == \
+                euler_characteristic(e) % 2
             triangles, cw, _ = _star_cocycles(e)
             assert _cup_product(triangles, cw, cw) == \
                 euler_characteristic(e) % 2
+            if is_orientable_embedding(e) or is_bipartite(e.graph).bipartite:
+                continue
+            odd_cases += 1
+            assert oddness_functional(e) == cup_product_odd(e)
+        assert len(corpus) == 688 and odd_cases == 492
+
+    def test_face_hypotheses_match_the_reference(self):
+        # a tree's single face meets itself; planar K4 has triangles
+        path = embedded(3, [(0, 1), (1, 2)], [(1,), (0, 2), (1,)])
+        k4 = embedded(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                      [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)])
+        for e, name in ((path, "faces are simple cycles"),
+                        (k4, "faces have even length")):
+            with pytest.raises(HypothesisError, match=name) as got:
+                oddness_functional(e)
+            with pytest.raises(HypothesisError) as want:
+                cup_product_odd(e)
+            assert str(got.value) == str(want.value)
+
+    def test_wu_check_catches_a_wrong_euler_characteristic(
+            self, monkeypatch, k4p, t33, klein_odd, klein_even):
+        chi = embeddings.euler_characteristic
+        monkeypatch.setattr(embeddings, "euler_characteristic",
+                            lambda e: chi(e) + 1)
+        for e in (k4p, t33, klein_odd, klein_even):
+            fresh = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+            with pytest.raises(InvariantViolation, match="w1 squared"):
+                oddness_functional(fresh)
 
 
 class TestEmbeddedIsomorphism:

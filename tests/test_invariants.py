@@ -210,6 +210,19 @@ class TestVerifyTheorems:
         verdicts = {v.name: v for v in verify_theorems(k4p, run_oracle=True)}
         assert verdicts["gray_parity_agreement"].status == "pass"
 
+    def test_oracle_verdicts_in_gray_parity_agreement(self, monkeypatch,
+                                                       k4p):
+        # k4-projective is odd: a contrary oracle fails the check, an open
+        # one passes it
+        for result, verdict in (((False, None, True),
+                                 ("fail", "cutting oracle disagrees")),
+                                ((None, None, False), ("pass", ""))):
+            monkeypatch.setattr("loquad.invariants.oddness_oracle",
+                                lambda e, cap: result)
+            v = {v.name: v for v in verify_theorems(k4p, run_oracle=True)}
+            assert (v["gray_parity_agreement"].status,
+                    v["gray_parity_agreement"].detail) == verdict
+
     def test_non_quadrangulation_is_skipped_not_raised(self):
         path = embedded(2, [(0, 1)], [(1,), (0,)])
         verdicts = {v.name: v for v in verify_theorems(path)}

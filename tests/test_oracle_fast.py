@@ -33,6 +33,7 @@ from loquad.generators import klein_grid, shipped_fixtures, torus_grid
 from loquad.graphs import (DEFAULT_ORACLE_CYCLE_CAP, Graph, GraphError,
                            canonical_cycle, enumerate_simple_cycles,
                            is_bipartite, norm_edge, simple_cycles)
+from loquad.invariants import invariant_report
 
 
 def reference_cut(e, cycle):
@@ -376,13 +377,14 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     odd_quad, even_quad = (EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
                            for e in (klein_grid(3, 5, 0), klein_grid(6, 3, 0)))
     built, drawn_cycles, cut, checked, traced, duals = [], [], [], [], [], []
-    balanced, balanced_at_table = [], []
+    balanced, balanced_at_table, coherences = [], [], []
     post_init = EmbeddedGraph.__post_init__
     cycles_of = embeddings.simple_cycles
     cut_orientable = embeddings._cut_orientable
     check_cut_cycle = embeddings._check_cut_cycle
     face_walks = embeddings._face_state_walks
     dual_table = embeddings._dual_table
+    face_coherence = embeddings._face_coherence
     signs_balanced = embeddings._signs_balanced
 
     def counting_post_init(self):
@@ -412,6 +414,10 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         balanced_at_table.append(len(balanced))
         return table
 
+    def counting_coherence(e):
+        coherences.append(e)
+        return face_coherence(e)
+
     def counting_balanced(n, signed_neighbors):
         balanced.append(n)
         return signs_balanced(n, signed_neighbors)
@@ -422,6 +428,7 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     monkeypatch.setattr(embeddings, "_check_cut_cycle", counting_check)
     monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
     monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
+    monkeypatch.setattr(embeddings, "_face_coherence", counting_coherence)
     monkeypatch.setattr(embeddings, "_signs_balanced", counting_balanced)
     verdict, witness, complete = oddness_oracle(odd_quad, 200000)
     assert not built
@@ -435,8 +442,10 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert witness.cycle == cut[-1] == (0, 1, 2)
     # the enumerated cycles are simple: no cut re-checks them
     assert not checked
-    # the cuts read one face trace and one dual table of the embedding
+    # the cuts read one face trace and one dual table of the embedding,
+    # built over one coherence labelling
     assert traced == [odd_quad] and duals == [odd_quad]
+    assert coherences == [odd_quad]
     # the table's check reads the vertex-sign verdict, one balance test;
     # the cuts after it run none
     assert balanced == [odd_quad.graph.n] and balanced_at_table == [1]
@@ -452,9 +461,17 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert not built and not checked
     # still one trace and one table per embedding, over 1,527 cuts
     assert len(cut) == 1527
-    assert traced == duals == [odd_quad, even_quad]
+    assert traced == duals == coherences == [odd_quad, even_quad]
     assert balanced == [odd_quad.graph.n, even_quad.graph.n]
     assert balanced_at_table == [1, 2]
+
+    # the report decides oddness from one coherence labelling and builds
+    # no cut masks
+    report_quad = EmbeddedGraph(odd_quad.graph, odd_quad.rotations,
+                                dict(odd_quad.signs))
+    assert invariant_report(report_quad).odd is True
+    assert duals == [odd_quad, even_quad]
+    assert coherences == [odd_quad, even_quad, report_quad]
 
 
 # ---------------------------------------------------------------------------
