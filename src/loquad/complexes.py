@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, common_neighbors, common_neighbors_mask, \
     mask_bits
@@ -164,6 +164,11 @@ def _link_walk(star: Iterable[frozenset[int]], v: int
         out.append(nxt)
     # a 2-regular link is one cycle exactly when the walk visits all of it
     return tuple(out) if len(out) == len(adj) else None
+
+
+def _rot_step(rot: Sequence[int], u: int, direction: int) -> int:
+    """The neighbor after u in the cyclic order rot (before it for -1)."""
+    return rot[(rot.index(u) + direction) % len(rot)]
 
 
 def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:

@@ -8,15 +8,16 @@ cut-along-cycle oracle, embedded isomorphism, and the constructions
 relating embeddings to the Lovász complex.
 
 Orientability and the even one-sided test are balance tests on the
-vertex signs (`_signs_balanced`).  Oddness and the oracle's cuts read the
-face coherence signs instead: reading a face walk state (u, v, f) as the
-dart u->v with local orientation f at v, an edge whose two face sides are
-(ua, va, ga) and (ub, vb, gb) gets ga * gb when they traverse it in the
-same direction and ga * gb * sign(u, v) when in opposite directions.
-Orienting the faces along a spanning forest of the dual graph
-(`_face_coherence`) leaves the set R of edges whose two sides do not
-cancel.  R is a cycle dual to the one-sidedness class w1: it is empty iff
-the surface is orientable, and a quadrangulation is odd iff |R| is odd.
+vertex signs, each one labelling by `graphs.signed_forest`.  Oddness and
+the oracle's cuts read the face coherence signs instead: reading a face
+walk state (u, v, f) as the dart u->v with local orientation f at v, an
+edge whose two face sides are (ua, va, ga) and (ub, vb, gb) gets ga * gb
+when they traverse it in the same direction and ga * gb * sign(u, v) when
+in opposite directions.  Labelling the faces by these signs along a
+spanning forest of the dual graph (`_face_coherence`) leaves the set R
+of edges whose two sides do not cancel.  R is a cycle dual to the
+one-sidedness class w1: it is empty iff the surface is orientable, and a
+quadrangulation is odd iff |R| is odd.
 A cut of the oracle reads each edge's mask over the fundamental dual
 cycles and the class of the signs over them (`EmbeddedGraph._dual`), in
 O(k).  The references, `tests/cut_reference.py` and
@@ -28,14 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
-                        _assemble_lovasz)
+                        _assemble_lovasz, _rot_step)
 from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, Edge, Graph, GraphError,
                      InvariantViolation, canonical_cycle, four_cycles,
-                     is_bipartite, is_connected, norm_edge, simple_cycles)
-from .surfaces import SurfaceClass, classify
+                     is_bipartite, is_connected, norm_edge, signed_forest,
+                     simple_cycles)
+from .surfaces import SurfaceClass, _link_sign, classify
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class EmbeddedGraph:
         g = self.graph
         if not is_connected(g):
             return "graph connected", ""
-        if is_bipartite(g).bipartite:
+        if is_bipartite(g):
             return "graph non-bipartite", ""
         quad = is_quadrangulation(self)
         if not quad.ok:
@@ -137,9 +139,7 @@ class EmbeddedGraph:
 
     @cached_property
     def _orientable(self) -> bool:
-        g = self.graph
-        return _signs_balanced(
-            g.n, lambda u: ((w, self.sign(u, w)) for w in g.adj[u]))
+        return _balanced(self, 1)
 
     @cached_property
     def _odd(self) -> bool:
@@ -204,11 +204,6 @@ State = tuple[int, int, int]    # (from, to, side flag)
 Coherence = tuple[list[tuple[int, int, int]], list[bool],
                   list[Optional[tuple[int, int]]], list[int]]
 DualTable = tuple[dict[tuple[int, int], int], int]
-
-
-def _rot_step(rot: Sequence[int], u: int, direction: int) -> int:
-    """The neighbor after u in the cyclic order rot (before it for -1)."""
-    return rot[(rot.index(u) + direction) % len(rot)]
 
 
 def _next_state(e: EmbeddedGraph, s: State) -> State:
@@ -283,8 +278,9 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
     with its coherence sign.  Returns per edge, in the order of `signs`,
     its two faces and sign, and whether it is in R (its sides do not
     cancel); per face the forest edge to its parent; and the faces, each
-    after its parent.  Checked against the face walks, the disc around
-    every vertex and the vertex-sign verdict `_orientable`.
+    after its parent, as `signed_forest` labels them.  Checked against the
+    face walks, the disc around every vertex and the vertex-sign verdict
+    `_orientable`.
     """
     # per edge its face sides, flat: face, state, face, state
     found: dict[Edge, list] = {ed: [] for ed in e.signs}
@@ -293,7 +289,7 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
             found[norm_edge(s[0], s[1])] += fi, s
     around = [1] * e.graph.n
     sides: list[tuple[int, int, int]] = []      # per edge id: fa, fb, sign
-    dual: list[list[tuple[int, int]]] = [[] for _ in e._walks]
+    dual: list[list[tuple[int, int, int]]] = [[] for _ in e._walks]
     for i, (ed, pair) in enumerate(found.items()):
         if len(pair) != 4:
             raise InvariantViolation(
@@ -303,8 +299,8 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
         around[ed[0]] *= c
         around[ed[1]] *= c
         sides.append((fa, fb, c))
-        dual[fa].append((i, fb))
-        dual[fb].append((i, fa))
+        dual[fa].append((i, fb, c))
+        dual[fb].append((i, fa, c))
     # the faces at a vertex form a disc, so they orient coherently around
     # it; the cut rule of `cut_surface_orientable` and R rest on this
     for v, c in enumerate(around):
@@ -312,24 +308,9 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
             raise InvariantViolation(
                 f"coherence signs around vertex {e.graph.names[v]} "
                 f"multiply to -1")
-    eps = [0] * len(dual)
-    up: list[Optional[tuple[int, int]]] = [None] * len(dual)
-    order: list[int] = []
-    for root in range(len(dual)):
-        if eps[root]:
-            continue
-        eps[root] = 1
-        stack = [root]
-        while stack:
-            f = stack.pop()
-            order.append(f)
-            for i, h in dual[f]:
-                if not eps[h]:
-                    eps[h] = eps[f] * sides[i][2]
-                    up[h] = (i, f)
-                    stack.append(h)
+    eps, up, order, balanced = signed_forest(len(dual), dual.__getitem__)
     reversal = [eps[fa] * eps[fb] * c < 0 for fa, fb, c in sides]
-    if any(reversal) == e._orientable:
+    if balanced != e._orientable:
         raise InvariantViolation("face coherence and vertex signs disagree "
                                  "on orientability")
     return sides, reversal, up, order
@@ -411,35 +392,16 @@ def is_orientable_embedding(e: EmbeddedGraph) -> bool:
     """True iff no cycle has an odd number of negative edges.
 
     Equivalent to the sign assignment being switching-equivalent to
-    all-positive; decided by BFS labeling.
+    all-positive; decided by one signed labelling.
     """
     return e._orientable
 
 
-def _signs_balanced(
-        n: int,
-        signed_neighbors: Callable[[int], Iterable[tuple[int, int]]]) -> bool:
-    """True iff the vertices 0..n-1 admit labels eps in {+1, -1} with
-    eps(w) = eps(u) * s for every pair (w, s) in `signed_neighbors(u)`.
-
-    Depth-first labeling; returns False at the first conflict.
-    """
-    eps = [0] * n       # 0 marks an unlabeled vertex
-    for s in range(n):
-        if eps[s]:
-            continue
-        eps[s] = 1
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w, sign in signed_neighbors(u):
-                want = eps[u] * sign
-                if not eps[w]:
-                    eps[w] = want
-                    stack.append(w)
-                elif eps[w] != want:
-                    return False
-    return True
+def _balanced(e: EmbeddedGraph, flip: int) -> bool:
+    """Whether the edge signs, each times `flip`, are balanced."""
+    g = e.graph
+    return signed_forest(g.n, lambda u: (
+        (None, w, flip * e.sign(u, w)) for w in g.adj[u])).balanced
 
 
 def has_even_one_sided_class(e: EmbeddedGraph) -> bool:
@@ -451,9 +413,7 @@ def has_even_one_sided_class(e: EmbeddedGraph) -> bool:
     it has an even number of negative ones under the negated signs.  Over
     GF(2) an even one-sided element exists iff w1 is neither.
     """
-    g = e.graph
-    return not e._orientable and not _signs_balanced(
-        g.n, lambda u: ((w, -e.sign(u, w)) for w in g.adj[u]))
+    return not e._orientable and not _balanced(e, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +548,7 @@ def is_odd_quadrangulation(e: EmbeddedGraph, run_oracle: bool = False,
     """
     if not is_connected(e.graph):
         raise HypothesisError("graph connected")
-    if is_bipartite(e.graph).bipartite:
+    if is_bipartite(e.graph):
         raise HypothesisError("graph non-bipartite")
     quad = is_quadrangulation(e)
     if not quad.ok:
@@ -688,15 +648,13 @@ def lovasz_from_quadrangulation(e: EmbeddedGraph) -> LovaszComplex:
 def rotation_system_of_surface(K) -> EmbeddedGraph:
     """A signed rotation system for the 1-skeleton of a triangulated surface.
 
-    Each vertex gets its link cycle (arbitrary direction); the sign of an
-    edge is +1 iff the two endpoints' rotations pick opposite triangles as
-    the successor across it.
+    Each vertex gets its link cycle (arbitrary direction) and each edge its
+    link-rotation sign, `surfaces._link_sign`.
     """
     classify(K)
     rots = K._links
     skel = K.skeleton_graph()
-    signs = {(u, v): 1 if _rot_step(rots[u], v, 1) != _rot_step(rots[v], u, 1)
-             else -1 for u, v in skel.edges}
+    signs = {(u, v): _link_sign(rots, u, v) for u, v in skel.edges}
     return EmbeddedGraph(skel, rots, signs)
 
 

@@ -35,7 +35,7 @@ class FamilySpec:
 def _self_check(e: EmbeddedGraph, spec: FamilySpec) -> EmbeddedGraph:
     """Verify every annotation of the spec against the embedding."""
     problems = []
-    if is_bipartite(e.graph).bipartite != spec.bipartite:
+    if is_bipartite(e.graph) != spec.bipartite:
         problems.append("bipartite")
     sc = surface_class(e)
     if (sc.orientable, sc.euler) != (spec.orientable, spec.euler):
@@ -178,7 +178,7 @@ def klein_grid(m: int, n: int, twist: int = 0) -> EmbeddedGraph:
     quad = is_quadrangulation(e).ok
     spec = FamilySpec(
         "klein-grid", (m, n, t),
-        bipartite=is_bipartite(e.graph).bipartite,
+        bipartite=is_bipartite(e.graph),
         orientable=False, euler=0,
         all_facial=all_4cycles_facial(e).ok,
         basis_cycles=(
@@ -186,7 +186,7 @@ def klein_grid(m: int, n: int, twist: int = 0) -> EmbeddedGraph:
             CycleAnnotation(seam_loop, 1, (n + t) % 2),
         ),
         odd=(oddness_functional(e)
-             if quad and not is_bipartite(e.graph).bipartite else None))
+             if quad and not is_bipartite(e.graph) else None))
     return _self_check(e, spec)
 
 

@@ -11,7 +11,8 @@ import bisect
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 
 class GraphError(ValueError):
@@ -35,6 +36,10 @@ class Graph:
     adj: tuple[frozenset[int], ...]
     names: tuple[str, ...]
     masks: tuple[int, ...] = field(repr=False, default=())
+    # `_parity`, kept on first use in a declared field: a key added to the
+    # instance dict would slow every later read of the other fields
+    _forest: Optional[SignedForest] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]],
@@ -71,6 +76,15 @@ class Graph:
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @property
+    def _parity(self) -> SignedForest:
+        """One labelling with every edge sign -1: its roots count the
+        components, and it is balanced iff the graph is bipartite."""
+        if self._forest is None:
+            object.__setattr__(self, "_forest", signed_forest(
+                self.n, lambda u: ((None, w, -1) for w in self.adj[u])))
+        return self._forest
 
     def relabeled(self, perm: Sequence[int]) -> "Graph":
         """Image under the vertex bijection v -> perm[v]."""
@@ -119,64 +133,51 @@ def common_neighbors(g: Graph, a: Iterable[int]) -> frozenset[int]:
     return _from_mask(common_neighbors_mask(g, _to_mask(a)))
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
+class SignedForest(NamedTuple):
+    """A depth-first labelling of a signed graph; see `signed_forest`."""
+
+    labels: list[int]                       # +1 or -1 per vertex
+    up: list[Optional[tuple[Any, int]]]     # forest edge (tag, parent)
+    order: list[int]                        # each vertex after its parent
+    balanced: bool
+
+
+def signed_forest(n: int, signed_neighbors: Callable[
+        [int], Iterable[tuple[Any, int, int]]]) -> SignedForest:
+    """Label the vertices 0..n-1 with +1 or -1 along a depth-first forest:
+    a forest edge (tag, w, s) of `signed_neighbors(u)` gives w the label
+    of u times s, and the signs are balanced when every triple agrees
+    (Harary, "On the notion of balance of a signed graph", 1953).  Roots
+    go in increasing order, labelled +1 with `up` None, so they count the
+    components; a vertex is labelled when it is pushed."""
+    eps = [0] * n       # 0 marks an unlabelled vertex
+    up: list[Optional[tuple[Any, int]]] = [None] * n
+    order: list[int] = []
+    balanced = True
+    for root in range(n):
+        if eps[root]:
             continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
+        eps[root] = 1
+        stack = [root]
         while stack:
             u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+            order.append(u)
+            for tag, w, s in signed_neighbors(u):
+                if not eps[w]:
+                    eps[w] = eps[u] * s
+                    up[w] = (tag, u)
                     stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+                elif eps[w] != eps[u] * s:
+                    balanced = False
+    return SignedForest(eps, up, order, balanced)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return g._parity.up.count(None) == 1
 
 
-@dataclass(frozen=True)
-class BipartiteVerdict:
-    bipartite: bool
-    coloring: Optional[tuple[int, ...]] = None
-    odd_walk: Optional[tuple[int, ...]] = None   # closed walk of odd length
-
-
-def is_bipartite(g: Graph) -> BipartiteVerdict:
-    """2-colorability check; a failing run returns an odd closed walk."""
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    # Tree paths to the common root close an odd walk.
-                    pu, pw = [u], [w]
-                    while pu[-1] != -1:
-                        pu.append(parent[pu[-1]])
-                    while pw[-1] != -1:
-                        pw.append(parent[pw[-1]])
-                    pu, pw = pu[:-1], pw[:-1]
-                    walk = tuple(reversed(pu)) + tuple(pw[:-1])
-                    return BipartiteVerdict(False, odd_walk=walk)
-    return BipartiteVerdict(True, coloring=tuple(color))
+def is_bipartite(g: Graph) -> bool:
+    return g._parity.balanced
 
 
 def _wedges(g: Graph) -> dict[tuple[int, int], list[int]]:

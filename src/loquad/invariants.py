@@ -293,7 +293,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
     # the facial test is defined on quadrangulations only
     facial = all_4cycles_facial(e) if quad_ok else None
     connected = is_connected(g)
-    bip = is_bipartite(g).bipartite
+    bip = is_bipartite(g)
     # the min-rule report of gray_parity_agreement and chromatic_bound,
     # built once; a raise is not kept, so the later check raises it anew
     min_report = cache(lambda: invariant_report(e, rule="min"))

@@ -8,12 +8,12 @@ orientability.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .complexes import ComplexError, HypothesisError, SimplicialComplex
-from .graphs import connected_components
+from .complexes import (ComplexError, HypothesisError, SimplicialComplex,
+                        _rot_step)
+from .graphs import signed_forest
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,18 @@ def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
     return K._surface
 
 
+def _link_sign(links: Sequence[Sequence[int]], u: int, v: int) -> int:
+    """The link-rotation sign of the edge uv: +1 iff the links of u and v,
+    read in their stored directions, step across uv into different
+    triangles, so that the two orientations they give agree."""
+    return 1 if _rot_step(links[u], v, 1) != _rot_step(links[v], u, 1) else -1
+
+
 def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
+    """Once every link is a cycle, one labelling of the vertices over
+    their link neighbours, signed by `_link_sign`, counts the components
+    and decides orientability: balanced signs orient the links
+    coherently."""
     for f in K.facets:
         if len(f) != 3:
             return SurfaceVerdict(False, SurfaceDefect(
@@ -82,12 +93,15 @@ def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
         if link is None:
             return SurfaceVerdict(False, SurfaceDefect(
                 "bad-link", f"link of {K.labels[v]} is not a single cycle"))
-    comps = connected_components(K.skeleton_graph())
-    if len(comps) != 1:
+    links = K._links
+    forest = signed_forest(K.num_vertices, lambda u: (
+        (None, w, _link_sign(links, u, w)) for w in links[u]))
+    comps = forest.up.count(None)
+    if comps != 1:
         return SurfaceVerdict(False, SurfaceDefect(
-            "disconnected", f"{len(comps)} components"))
+            "disconnected", f"{comps} components"))
     return SurfaceVerdict(True, None, SurfaceClass.from_euler(
-        _coherently_orientable(K), euler_characteristic(K)))
+        forest.balanced, euler_characteristic(K)))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -102,36 +116,6 @@ def euler_characteristic(K: SimplicialComplex) -> int:
 def orientability(K: SimplicialComplex) -> bool:
     """Whether coherent triangle orientations exist (surface input only)."""
     return classify(K).orientable
-
-
-def _coherently_orientable(K: SimplicialComplex) -> bool:
-    """Whether coherent triangle orientations exist, for a closed surface.
-
-    Propagates orientations across shared edges breadth-first; a conflict
-    means non-orientable.
-    """
-    # orientation of a triangle: its three darts (a, b), (b, c), (c, a)
-    darts: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
-    for start in K.triangles():
-        if start in darts:
-            continue
-        a, b, c = sorted(start)
-        darts[start] = ((a, b), (b, c), (c, a))
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for u, v in darts[t]:
-                # the other triangle on edge uv must run it as (v, u)
-                for s in K.edge_star(frozenset((u, v))):
-                    if s == t:
-                        continue
-                    (w,) = s - {u, v}
-                    if s not in darts:
-                        darts[s] = ((v, u), (u, w), (w, v))
-                        queue.append(s)
-                    elif (v, u) not in darts[s]:
-                        return False
-    return True
 
 
 def classify(K: SimplicialComplex) -> SurfaceClass:

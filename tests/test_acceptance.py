@@ -125,7 +125,7 @@ def test_acceptance_5_k23_domination_dichotomy(fixtures, k23):
     checked = 0
     for fx in fixtures:
         e = fx.embedding
-        if is_bipartite(e.graph).bipartite and not is_k23(e.graph):
+        if is_bipartite(e.graph) and not is_k23(e.graph):
             continue
         if not is_quadrangulation(e).ok or not all_4cycles_facial(e).ok:
             continue
@@ -144,7 +144,7 @@ def test_acceptance_5_k23_domination_dichotomy(fixtures, k23):
 def _nonorientable_all_facial(fixtures):
     for fx in fixtures:
         e = fx.embedding
-        if e.graph.n > 40 or is_bipartite(e.graph).bipartite:
+        if e.graph.n > 40 or is_bipartite(e.graph):
             continue
         if not is_quadrangulation(e).ok or not all_4cycles_facial(e).ok:
             continue
@@ -182,7 +182,7 @@ def test_acceptance_7_gray_cyclic_congruence(fixtures):
     checked = 0
     for fx in fixtures:
         e = fx.embedding
-        if is_bipartite(e.graph).bipartite:
+        if is_bipartite(e.graph):
             continue
         if not is_quadrangulation(e).ok or not all_4cycles_facial(e).ok:
             continue

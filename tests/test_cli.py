@@ -78,6 +78,26 @@ class TestCheck:
         assert code == EXIT_OK
         assert report["k23_witness"] is not None
 
+    @pytest.mark.parametrize("e", [
+        # K4 on the sphere: four triangular faces
+        embedded(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                 [(1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 1, 2)]),
+        # a single edge: one face of length 2
+        embedded(2, [(0, 1)], [(1,), (0,)]),
+    ], ids=["k4-sphere", "path"])
+    def test_non_quadrangulation_reports_its_bad_face(self, capsys, tmp_path,
+                                                     e):
+        p = tmp_path / "e.emb.json"
+        p.write_text(dump_embedding(e))
+        code, report = run_json(capsys, ["check", str(p)])
+        assert code == EXIT_OK
+        assert report["connected"] and not report["is_quadrangulation"]
+        assert report["bad_face"]
+        assert report["all_4cycles_facial"] is None
+        assert report["non_facial_witness"] is None
+        assert report["surface"] == {"orientable": True, "genus": 0,
+                                     "euler": 2}
+
 
 class TestClassify:
     def test_k4_projective(self, capsys, fixture_path):

@@ -157,7 +157,7 @@ class TestOddness:
     def test_hypothesis_errors(self, t33, t34):
         with pytest.raises(HypothesisError):
             is_odd_quadrangulation(t33)    # orientable
-        assert not is_bipartite(t33.graph).bipartite
+        assert not is_bipartite(t33.graph)
         with pytest.raises(HypothesisError):
             is_odd_quadrangulation(sphere_quad())   # bipartite
 
@@ -188,7 +188,7 @@ class TestOddness:
             triangles, cw, _ = _star_cocycles(e)
             assert _cup_product(triangles, cw, cw) == \
                 euler_characteristic(e) % 2
-            if is_orientable_embedding(e) or is_bipartite(e.graph).bipartite:
+            if is_orientable_embedding(e) or is_bipartite(e.graph):
                 continue
             odd_cases += 1
             assert oddness_functional(e) == cup_product_odd(e)

@@ -22,9 +22,9 @@ class TestFamilies:
             torus_grid(3, 2)
 
     def test_torus_grid_bipartite_iff_both_even(self):
-        assert is_bipartite(torus_grid(4, 4).graph).bipartite
-        assert not is_bipartite(torus_grid(3, 4).graph).bipartite
-        assert not is_bipartite(torus_grid(3, 3).graph).bipartite
+        assert is_bipartite(torus_grid(4, 4).graph)
+        assert not is_bipartite(torus_grid(3, 4).graph)
+        assert not is_bipartite(torus_grid(3, 3).graph)
 
     def test_klein_grid_parameters(self):
         with pytest.raises(GraphError):

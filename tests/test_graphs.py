@@ -4,7 +4,7 @@ import pytest
 
 from loquad.graphs import (CapExceeded, Graph, GraphError, canonical_cycle,
                            chromatic_number, common_neighbors,
-                           connected_components, cycle_space_basis,
+                           cycle_space_basis,
                            enumerate_simple_cycles, find_domination,
                            find_k23, four_cycles, is_bipartite, is_connected,
                            is_k23, norm_edge)
@@ -57,19 +57,10 @@ class TestCommonNeighbors:
 
 class TestBipartite:
     def test_even_cycle(self):
-        v = is_bipartite(cycle_graph(6))
-        assert v.bipartite
-        c = v.coloring
-        assert all(c[u] != c[v_] for u, v_ in cycle_graph(6).edges)
+        assert is_bipartite(cycle_graph(6)) is True
 
-    def test_odd_cycle_reports_odd_closed_walk(self):
-        v = is_bipartite(cycle_graph(5))
-        assert not v.bipartite
-        walk = v.odd_walk
-        assert len(walk) % 2 == 1
-        g = cycle_graph(5)
-        for i in range(len(walk)):
-            assert walk[(i + 1) % len(walk)] in g.adj[walk[i]]
+    def test_odd_cycle(self):
+        assert is_bipartite(cycle_graph(5)) is False
 
 
 class TestSmallStructures:
@@ -174,7 +165,6 @@ def test_connectivity(fig1):
     assert is_connected(fig1)
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
-    assert [sorted(c) for c in connected_components(g)] == [[0, 1], [2, 3]]
 
 
 def test_norm_edge_orders_endpoints():

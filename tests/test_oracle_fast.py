@@ -94,7 +94,7 @@ def test_fast_cut_matches_reference(name, selection, seed):
             cycles = rng.sample(cycles, 2000)
     small = len(cycles) <= 400
     assert {len(c) % 2 for c in cycles} == (
-        {0} if is_bipartite(e.graph).bipartite else {0, 1})
+        {0} if is_bipartite(e.graph) else {0, 1})
 
     # identity input: the reference on every selected cycle
     expected = {}
@@ -377,7 +377,7 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     odd_quad, even_quad = (EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
                            for e in (klein_grid(3, 5, 0), klein_grid(6, 3, 0)))
     built, drawn_cycles, cut, checked, traced, duals = [], [], [], [], [], []
-    balanced, balanced_at_table, coherences = [], [], []
+    labelled, labelled_at_table, coherences = [], [], []
     post_init = EmbeddedGraph.__post_init__
     cycles_of = embeddings.simple_cycles
     cut_orientable = embeddings._cut_orientable
@@ -385,7 +385,7 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     face_walks = embeddings._face_state_walks
     dual_table = embeddings._dual_table
     face_coherence = embeddings._face_coherence
-    signs_balanced = embeddings._signs_balanced
+    forest = embeddings.signed_forest
 
     def counting_post_init(self):
         built.append(self)
@@ -411,16 +411,16 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     def counting_dual(e):
         duals.append(e)
         table = dual_table(e)
-        balanced_at_table.append(len(balanced))
+        labelled_at_table.append(len(labelled))
         return table
 
     def counting_coherence(e):
         coherences.append(e)
         return face_coherence(e)
 
-    def counting_balanced(n, signed_neighbors):
-        balanced.append(n)
-        return signs_balanced(n, signed_neighbors)
+    def counting_forest(n, signed_neighbors):
+        labelled.append(n)
+        return forest(n, signed_neighbors)
 
     monkeypatch.setattr(EmbeddedGraph, "__post_init__", counting_post_init)
     monkeypatch.setattr(embeddings, "simple_cycles", counting_cycles)
@@ -429,7 +429,7 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
     monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
     monkeypatch.setattr(embeddings, "_face_coherence", counting_coherence)
-    monkeypatch.setattr(embeddings, "_signs_balanced", counting_balanced)
+    monkeypatch.setattr(embeddings, "signed_forest", counting_forest)
     verdict, witness, complete = oddness_oracle(odd_quad, 200000)
     assert not built
     assert verdict is True and complete
@@ -446,9 +446,10 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     # built over one coherence labelling
     assert traced == [odd_quad] and duals == [odd_quad]
     assert coherences == [odd_quad]
-    # the table's check reads the vertex-sign verdict, one balance test;
-    # the cuts after it run none
-    assert balanced == [odd_quad.graph.n] and balanced_at_table == [1]
+    # the table runs two labellings, the dual faces and then the vertex
+    # signs its check reads; the cuts after it run none
+    assert labelled == [len(odd_quad._walks), odd_quad.graph.n]
+    assert labelled_at_table == [2]
 
     # an even quadrangulation: every odd cycle up to the cap is cut, and
     # one more cycle is drawn to learn that the cap stopped the search
@@ -462,8 +463,9 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     # still one trace and one table per embedding, over 1,527 cuts
     assert len(cut) == 1527
     assert traced == duals == coherences == [odd_quad, even_quad]
-    assert balanced == [odd_quad.graph.n, even_quad.graph.n]
-    assert balanced_at_table == [1, 2]
+    assert labelled == [len(odd_quad._walks), odd_quad.graph.n,
+                        len(even_quad._walks), even_quad.graph.n]
+    assert labelled_at_table == [2, 4]
 
     # the report decides oddness from one coherence labelling and builds
     # no cut masks
