@@ -39,10 +39,8 @@ class HypothesisError(ValueError):
 class SimplicialComplex:
     """Abstract simplicial complex given by vertex labels and maximal faces.
 
-    The incidences are built once, on first use, and kept with the
-    complex: the faces of each dimension, the triangles at each vertex and
-    the triangles on each edge, the vertex link cycles and the
-    closed-surface verdict.
+    Built once, on first use, and kept with the complex: the faces of
+    each dimension, the vertex link cycles and the closed-surface verdict.
     """
 
     labels: tuple[Label, ...]
@@ -80,10 +78,6 @@ class SimplicialComplex:
             out = self._faces[dim] = frozenset(found)
         return out
 
-    def all_faces(self) -> frozenset[frozenset[int]]:
-        return frozenset().union(*(self.faces(d)
-                                   for d in range(self.dimension() + 1)))
-
     def dimension(self) -> int:
         return max((len(f) for f in self.facets), default=1) - 1
 
@@ -94,38 +88,9 @@ class SimplicialComplex:
         return self.faces(2)
 
     @cached_property
-    def _stars(self) -> tuple[tuple[tuple[frozenset[int], ...], ...],
-                              dict[frozenset[int],
-                                   tuple[frozenset[int], ...]]]:
-        """Triangles by vertex and by edge; the keys are the stored edges."""
-        by_vertex: list[list[frozenset[int]]] = [
-            [] for _ in range(self.num_vertices)]
-        by_edge: dict[frozenset[int], list[frozenset[int]]] = {
-            e: [] for e in self.edge_set()}
-        for t in self.triangles():
-            a, b, c = t
-            by_vertex[a].append(t)
-            by_vertex[b].append(t)
-            by_vertex[c].append(t)
-            by_edge[frozenset((a, b))].append(t)
-            by_edge[frozenset((a, c))].append(t)
-            by_edge[frozenset((b, c))].append(t)
-        return (tuple(map(tuple, by_vertex)),
-                {e: tuple(ts) for e, ts in by_edge.items() if ts})
-
-    def vertex_star(self, v: int) -> tuple[frozenset[int], ...]:
-        """The triangles containing vertex v."""
-        return self._stars[0][v]
-
-    def edge_star(self, edge: frozenset[int]) -> tuple[frozenset[int], ...]:
-        """The triangles containing the edge (empty for a non-edge)."""
-        return self._stars[1].get(edge, ())
-
-    @cached_property
     def _links(self) -> tuple[Optional[tuple[int, ...]], ...]:
         """Each vertex link in cyclic order, None where it is not one cycle."""
-        return tuple(_link_walk(self.vertex_star(v), v)
-                     for v in range(self.num_vertices))
+        return tuple(map(_link_walk, _link_graphs(self)))
 
     @cached_property
     def _surface(self):
@@ -140,18 +105,23 @@ class SimplicialComplex:
         return Graph.from_edges(self.num_vertices, edges, names)
 
 
-def _link_walk(star: Iterable[frozenset[int]], v: int
-               ) -> Optional[tuple[int, ...]]:
-    """The link of v in cyclic order, read off its star; None if not a cycle.
+def _link_graphs(K: SimplicialComplex) -> list[dict[int, list[int]]]:
+    """Each vertex's link graph, from one pass over the triangles: per
+    link vertex w, the third vertices of the triangles on the edge vw."""
+    adj: list[dict[int, list[int]]] = [{} for _ in range(K.num_vertices)]
+    for a, b, c in K.triangles():
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            adj[x].setdefault(y, []).append(z)
+            adj[x].setdefault(z, []).append(y)
+    return adj
+
+
+def _link_walk(adj: dict[int, list[int]]) -> Optional[tuple[int, ...]]:
+    """A link graph in cyclic order; None if it is not one cycle.
 
     The walk starts at the least link vertex and steps to its lesser
     neighbor first, so the order depends on the complex alone.
     """
-    adj: dict[int, list[int]] = {}
-    for t in star:
-        a, b = sorted(t - {v})
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
     if not adj or any(len(nb) != 2 for nb in adj.values()):
         return None
     start = min(adj)
@@ -324,10 +294,15 @@ def lovasz_complex(g: Graph) -> LovaszComplex:
 
 
 def nu_free_on_faces(L: LovaszComplex) -> Optional[frozenset[int]]:
-    """A face fixed setwise by the involution, or None if the action is free."""
-    for f in L.base.all_faces():
-        if frozenset(L.nu[v] for v in f) == f:
-            return f
+    """A face fixed setwise by the involution, or None if the action is free.
+
+    A fixed face holds an orbit {v, nu v}, itself a fixed face, so the
+    facets are searched for an orbit pair.
+    """
+    for f in L.base.facets:
+        for v in f:
+            if L.nu[v] in f:
+                return frozenset((v, L.nu[v]))
     return None
 
 
@@ -335,8 +310,8 @@ def quotient_complex(L: LovaszComplex
                      ) -> tuple[SimplicialComplex, tuple[int, ...]]:
     """The orbit complex of the involution with the vertex projection.
 
-    Requires the action to be free on faces and no face to meet an orbit
-    twice, so face images are faces of the same dimension.
+    Requires the action to be free on faces; then no face meets an orbit
+    twice, so each facet maps onto a face of its own dimension.
     """
     fixed = nu_free_on_faces(L)
     if fixed is not None:
@@ -350,13 +325,6 @@ def quotient_complex(L: LovaszComplex
             orbit[v] = len(reps)
             orbit[L.nu[v]] = len(reps)
             reps.append(v)
-    faces = []
-    for f in L.base.all_faces():
-        img = frozenset(orbit[v] for v in f)
-        if len(img) != len(f):
-            labs = tuple(L.labels[v] for v in sorted(f))
-            raise HypothesisError("no face meets an orbit twice",
-                                  f"face {labs}")
-        faces.append(img)
+    faces = [frozenset(orbit[v] for v in f) for f in L.base.facets]
     labels = tuple(L.labels[r] for r in reps)
     return complex_from_facets(labels, faces), tuple(orbit)

@@ -45,7 +45,7 @@ class EmbeddedGraph:
     """Graph with a cyclic neighbor order per vertex and a sign per edge.
 
     The analyses of the embedding are built once, on first use, and kept
-    with it: the face walks and their signed dual table, the
+    with it: the face walks, their coherence signs and dual table, the
     quadrangulation and facial verdicts, the outcome of the face-rule
     hypotheses, the face-rule complex, orientability and the oddness
     functional.  The public functions below read them.  So neither an
@@ -77,6 +77,10 @@ class EmbeddedGraph:
     @cached_property
     def _walks(self) -> list[list[State]]:
         return _face_state_walks(self)
+
+    @cached_property
+    def _coherence(self) -> Coherence:
+        return _face_coherence(self)
 
     @cached_property
     def _dual(self) -> DualTable:
@@ -151,7 +155,7 @@ class EmbeddedGraph:
             if len(corners) % 2 != 0:
                 raise HypothesisError("faces have even length",
                                       f"face walk {tuple(corners)}")
-        _, reversal, _, _ = _face_coherence(self)
+        _, reversal, _, _ = self._coherence
         # Wu consistency check: w1 squared, the number of negative edges
         # of R, is the Euler characteristic mod 2
         chi = euler_characteristic(self)
@@ -320,7 +324,7 @@ def _dual_table(e: EmbeddedGraph) -> DualTable:
     """Per edge, in both directions, the mask of the fundamental cycles of
     `_face_coherence`'s forest that hold it; and the class of the
     coherence signs, the mask of the cycles whose sign product is -1."""
-    sides, reversal, up, order = _face_coherence(e)
+    sides, reversal, up, order = e._coherence
     # each non-forest edge gets its own bit, and each face the bits of the
     # non-forest edges at it; a forest edge, never reversed, lies on
     # exactly the cycles of the edges with one end below it
@@ -483,23 +487,6 @@ class OrientizingWitness:
     cut_surface_orientable: bool
 
 
-@dataclass(frozen=True)
-class OddnessVerdict:
-    """The homological oddness verdict, and what the cutting oracle found
-    when it ran.
-
-    `oracle_complete` is True when the oracle settled its own verdict: it
-    found a witness, which ends its search, or it examined every simple
-    cycle within its cap.  It is False when the cap stopped the search
-    without a witness, and when the oracle did not run.
-    """
-
-    odd: bool
-    witness: Optional[OrientizingWitness] = None
-    oracle_ran: bool = False
-    oracle_complete: bool = False
-
-
 def oddness_functional(e: EmbeddedGraph) -> bool:
     """Homological oddness: length parity evaluated on the dual of the
     one-sidedness class.
@@ -537,14 +524,11 @@ def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
     return False, None, True
 
 
-def is_odd_quadrangulation(e: EmbeddedGraph, run_oracle: bool = False,
-                           oracle_cap: int = DEFAULT_ORACLE_CYCLE_CAP
-                           ) -> OddnessVerdict:
-    """Oddness decided homologically, optionally checked by the cut oracle.
+def is_odd_quadrangulation(e: EmbeddedGraph) -> bool:
+    """Oddness decided homologically, by `oddness_functional`.
 
     Requires a connected non-bipartite quadrangulation of a non-orientable
-    surface.  With `run_oracle`, the cut-along-cycle search must agree;
-    disagreement raises.
+    surface.
     """
     if not is_connected(e.graph):
         raise HypothesisError("graph connected")
@@ -556,16 +540,7 @@ def is_odd_quadrangulation(e: EmbeddedGraph, run_oracle: bool = False,
                               f"face {quad.bad_face}")
     if is_orientable_embedding(e):
         raise HypothesisError("surface non-orientable")
-    odd = oddness_functional(e)
-    if not run_oracle:
-        return OddnessVerdict(odd)
-    verdict, witness, complete = oddness_oracle(e, oracle_cap)
-    if verdict is not None and verdict != odd:
-        raise InvariantViolation(
-            f"oddness disagreement: functional says {odd}, cutting oracle "
-            f"says {verdict}")
-    return OddnessVerdict(odd, witness, oracle_ran=True,
-                          oracle_complete=complete)
+    return oddness_functional(e)
 
 
 # ---------------------------------------------------------------------------

@@ -22,25 +22,28 @@ class CycleAnnotation:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """The stated properties of a family member; None is not annotated."""
+
     family: str
     params: tuple[int, ...]
-    bipartite: bool
     orientable: bool
     euler: int
-    all_facial: bool
+    bipartite: Optional[bool] = None
+    all_facial: Optional[bool] = None
     basis_cycles: tuple[CycleAnnotation, ...] = ()
-    odd: Optional[bool] = None    # None when oddness does not apply
+    odd: Optional[bool] = None
 
 
 def _self_check(e: EmbeddedGraph, spec: FamilySpec) -> EmbeddedGraph:
     """Verify every annotation of the spec against the embedding."""
     problems = []
-    if is_bipartite(e.graph) != spec.bipartite:
+    if spec.bipartite is not None and is_bipartite(e.graph) != spec.bipartite:
         problems.append("bipartite")
     sc = surface_class(e)
     if (sc.orientable, sc.euler) != (spec.orientable, spec.euler):
         problems.append(f"surface class {sc.describe()}")
-    if all_4cycles_facial(e).ok != spec.all_facial:
+    if spec.all_facial is not None and \
+            all_4cycles_facial(e).ok != spec.all_facial:
         problems.append("all_facial")
     for ann in spec.basis_cycles:
         cyc = ann.cycle
@@ -81,8 +84,8 @@ def k4_projective() -> EmbeddedGraph:
     e = embedded(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
                  [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)],
                  neg_edges=[(0, 2), (1, 3)])
-    spec = FamilySpec("k4-projective", (), bipartite=False, orientable=False,
-                      euler=1, all_facial=True,
+    spec = FamilySpec("k4-projective", (), orientable=False, euler=1,
+                      bipartite=False, all_facial=True,
                       basis_cycles=(CycleAnnotation((0, 1, 2), 1, 1),),
                       odd=True)
     return _self_check(e, spec)
@@ -95,8 +98,8 @@ def k23_sphere() -> EmbeddedGraph:
     """
     e = embedded(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)],
                  [(2, 3, 4), (2, 4, 3), (0, 1), (0, 1), (0, 1)])
-    spec = FamilySpec("k23-sphere", (), bipartite=True, orientable=True,
-                      euler=2, all_facial=True)
+    spec = FamilySpec("k23-sphere", (), orientable=True, euler=2,
+                      bipartite=True, all_facial=True)
     return _self_check(e, spec)
 
 
@@ -123,10 +126,8 @@ def torus_grid(m: int, n: int) -> EmbeddedGraph:
     e = embedded(m * n, edges, rotations)
     assert len(trace_faces(e)) == m * n
     spec = FamilySpec(
-        "torus-grid", (m, n),
+        "torus-grid", (m, n), orientable=True, euler=0,
         bipartite=(m % 2 == 0 and n % 2 == 0),
-        orientable=True, euler=0,
-        all_facial=all_4cycles_facial(e).ok,
         basis_cycles=(
             CycleAnnotation(tuple(vid(i, 0) for i in range(m)), 0, m % 2),
             CycleAnnotation(tuple(vid(0, j) for j in range(n)), 0, n % 2),
@@ -175,18 +176,12 @@ def klein_grid(m: int, n: int, twist: int = 0) -> EmbeddedGraph:
     # column 0 up to the seam, then back along row 0 to close up
     seam_loop = tuple(vid(0, j) for j in range(n)) \
         + tuple(vid(i, 0) for i in range(t, 0, -1))
-    quad = is_quadrangulation(e).ok
     spec = FamilySpec(
-        "klein-grid", (m, n, t),
-        bipartite=is_bipartite(e.graph),
-        orientable=False, euler=0,
-        all_facial=all_4cycles_facial(e).ok,
+        "klein-grid", (m, n, t), orientable=False, euler=0,
         basis_cycles=(
             CycleAnnotation(row, 0, m % 2),
             CycleAnnotation(seam_loop, 1, (n + t) % 2),
-        ),
-        odd=(oddness_functional(e)
-             if quad and not is_bipartite(e.graph) else None))
+        ))
     return _self_check(e, spec)
 
 

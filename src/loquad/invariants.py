@@ -192,7 +192,7 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     cohom_ind = 2 if gray % 2 == 1 else 1
     odd: Optional[bool] = None
     if not is_orientable_embedding(e):
-        odd = is_odd_quadrangulation(e).odd
+        odd = is_odd_quadrangulation(e)
         if odd != (cohom_ind == 2):
             raise InvariantViolation(
                 f"gray parity ({gray}) contradicts the oddness decision "
@@ -264,8 +264,8 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
 
     Each check gates on its own hypotheses and is skipped (with a reason)
     when they fail; failures are reported, never raised: a RuntimeError
-    inside a check (an InvariantViolation, an oracle disagreement) becomes
-    that check's fail verdict, and the later checks still run.  The checks:
+    inside a check, such as an InvariantViolation, becomes that check's
+    fail verdict, and the later checks still run.  The checks:
 
     - k23_dichotomy: an all-facial quadrangulation is K(2,3) or is
       K(2,3)-free with no dominated neighborhood.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import (ComplexError, HypothesisError, SimplicialComplex,
-                        _rot_step)
+                        _link_graphs, _rot_step)
 from .graphs import signed_forest
 
 
@@ -53,12 +53,6 @@ class SurfaceVerdict:
     surface: Optional[SurfaceClass] = None
 
 
-def link_cycle(K: SimplicialComplex, v: int) -> Optional[list[int]]:
-    """The link of v in cyclic order, as a new list, or None when it is not
-    one cycle."""
-    return None if K._links[v] is None else list(K._links[v])
-
-
 def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
     """Combinatorial closed-surface test, kept with the complex; defects
     are returned, not raised."""
@@ -82,18 +76,21 @@ def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
             return SurfaceVerdict(False, SurfaceDefect(
                 "not-pure", f"facet of size {len(f)}: "
                 f"{tuple(K.labels[v] for v in sorted(f))}"))
-    bad = [e for e in K.edge_set() if len(K.edge_star(e)) != 2]
-    if bad:
-        e = min(bad, key=sorted)
-        u, v = sorted(e)
-        return SurfaceVerdict(False, SurfaceDefect(
-            "edge-degree", f"edge ({K.labels[u]},{K.labels[v]}) in "
-            f"{len(K.edge_star(e))} triangles"))
-    for v, link in enumerate(K._links):
-        if link is None:
-            return SurfaceVerdict(False, SurfaceDefect(
-                "bad-link", f"link of {K.labels[v]} is not a single cycle"))
     links = K._links
+    if None in links:
+        # a link that is one cycle puts each of its edges in two triangles
+        bad = min(((u, w, len(thirds))
+                   for u, adj in enumerate(_link_graphs(K))
+                   for w, thirds in adj.items()
+                   if u < w and len(thirds) != 2), default=None)
+        if bad is not None:
+            u, w, count = bad
+            return SurfaceVerdict(False, SurfaceDefect(
+                "edge-degree", f"edge ({K.labels[u]},{K.labels[w]}) in "
+                f"{count} triangles"))
+        v = links.index(None)
+        return SurfaceVerdict(False, SurfaceDefect(
+            "bad-link", f"link of {K.labels[v]} is not a single cycle"))
     forest = signed_forest(K.num_vertices, lambda u: (
         (None, w, _link_sign(links, u, w)) for w in links[u]))
     comps = forest.up.count(None)

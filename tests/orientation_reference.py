@@ -4,6 +4,7 @@ one signed labelling of the vertices over their link neighbours.
 """
 
 from collections import deque
+from itertools import combinations
 
 from loquad.complexes import SimplicialComplex
 
@@ -14,6 +15,10 @@ def _coherently_orientable(K: SimplicialComplex) -> bool:
     Propagates orientations across shared edges breadth-first; a conflict
     means non-orientable.
     """
+    on_edge: dict[frozenset[int], list[frozenset[int]]] = {}
+    for t in K.triangles():
+        for u, v in combinations(t, 2):
+            on_edge.setdefault(frozenset((u, v)), []).append(t)
     # orientation of a triangle: its three darts (a, b), (b, c), (c, a)
     darts: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
     for start in K.triangles():
@@ -26,7 +31,7 @@ def _coherently_orientable(K: SimplicialComplex) -> bool:
             t = queue.popleft()
             for u, v in darts[t]:
                 # the other triangle on edge uv must run it as (v, u)
-                for s in K.edge_star(frozenset((u, v))):
+                for s in on_edge[frozenset((u, v))]:
                     if s == t:
                         continue
                     (w,) = s - {u, v}

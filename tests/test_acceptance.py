@@ -13,7 +13,7 @@ from loquad.embeddings import (all_4cycles_facial, embedded_isomorphic,
                                is_bipartite, is_odd_quadrangulation,
                                is_orientable_embedding, is_quadrangulation,
                                lovasz_from_quadrangulation,
-                               lovasz_quotient_embedding,
+                               lovasz_quotient_embedding, oddness_oracle,
                                rotation_system_of_surface)
 from loquad.generators import shipped_fixtures
 from loquad.graphs import (Graph, chromatic_number, common_neighbors,
@@ -86,8 +86,9 @@ def test_acceptance_2_k4_pipeline(k4p):
     assert nu_free_on_faces(L) is None
     quotient = lovasz_quotient_embedding(lovasz_from_quadrangulation(k4p))
     assert embedded_isomorphic(quotient, k4p)
-    odd = is_odd_quadrangulation(k4p, run_oracle=True)
-    assert odd.odd and odd.oracle_complete
+    assert is_odd_quadrangulation(k4p)
+    verdict, _, complete = oddness_oracle(k4p)
+    assert verdict is True and complete
     r = invariant_report(k4p)
     assert r.gray_count % 2 == 1
     assert r.cohom_ind == 2 and r.ind == 2
@@ -157,19 +158,20 @@ def test_acceptance_6_oddness_equivalence(fixtures):
     mismatches = []
     checked = 0
     for name, e in _nonorientable_all_facial(fixtures):
-        verdict = is_odd_quadrangulation(e, run_oracle=True,
-                                         oracle_cap=oracle_cap(e))
+        odd = is_odd_quadrangulation(e)
+        verdict, _, _ = oddness_oracle(e, oracle_cap(e))
         L = lovasz_from_quadrangulation(e)
         lab, quads = build_labeling(L), labeled_quads(L)
         g_min = gray_count(symmetric_triangulation(quads, lab, "min"), lab)
         g_max = gray_count(symmetric_triangulation(quads, lab, "max"), lab)
         if g_min % 2 != g_max % 2:
             mismatches.append(f"{name}: rule disagreement")
-        if (g_min % 2 == 1) != verdict.odd:
+        if (g_min % 2 == 1) != odd:
             mismatches.append(f"{name}: gray parity vs functional")
-        # inconclusive oracle (cycle cap reached on the larger instances)
-        # cannot witness a mismatch; a completed oracle already agreed or
-        # is_odd_quadrangulation would have raised
+        # an inconclusive oracle (cycle cap reached on the larger
+        # instances) cannot witness a mismatch
+        if verdict is not None and verdict != odd:
+            mismatches.append(f"{name}: cut oracle vs functional")
         checked += 1
     assert checked >= 5
     assert not mismatches, mismatches
@@ -231,18 +233,19 @@ def test_acceptance_9_klein_family_split(fixtures):
     for name, e in _nonorientable_all_facial(fixtures):
         if name == "k4-projective":
             continue
-        verdict = is_odd_quadrangulation(e, run_oracle=True,
-                                         oracle_cap=oracle_cap(e))
+        odd = is_odd_quadrangulation(e)
+        verdict, witness, complete = oddness_oracle(e, oracle_cap(e))
+        assert verdict in (None, odd), name
         r = invariant_report(e)
-        if verdict.odd:
+        if odd:
             assert r.ind == 2 and r.cohom_ind == 2
             assert r.coind == 1 and r.non_tidy
-            if verdict.oracle_complete or verdict.witness is not None:
+            if complete or witness is not None:
                 odd_seen.append(name)
         else:
             assert r.ind == 1 and r.cohom_ind == 1
             assert not r.non_tidy
-            if verdict.oracle_complete:
+            if complete:
                 even_seen.append(name)
     assert odd_seen, "no oracle-verified odd Klein instance"
     assert even_seen, "no oracle-verified non-odd Klein instance"

@@ -1,16 +1,19 @@
 """Differential tests: the indexed complex and the wedge-based 4-cycle
 search against brute-force references, on fixed seeds."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from loquad.complexes import (ComplexError, SimplicialComplex,
-                              complex_from_facets, lovasz_complex)
+import involution_reference as reference
+from loquad.complexes import (ComplexError, HypothesisError,
+                              SimplicialComplex, _link_graphs,
+                              complex_from_facets, lovasz_complex,
+                              nu_free_on_faces, quotient_complex)
 from loquad.embeddings import lovasz_from_quadrangulation
 from loquad.graphs import Graph, canonical_cycle, find_k23, four_cycles
-from loquad.surfaces import link_cycle
 
 RANDOM_SEEDS = range(50)
 
@@ -98,36 +101,109 @@ def test_faces_are_immutable_and_match_recomputation(fixtures):
             faces = K.faces(dim)
             assert isinstance(faces, frozenset)
             assert faces == brute_faces(K, dim)
-        assert K.all_faces() == set().union(
-            *(brute_faces(K, d) for d in range(K.dimension() + 1)))
 
 
-def test_triangle_indexes_match_recomputation(fixtures):
+def brute_link(K, v):
+    """Per link vertex w of v, the sorted third vertices of the triangles
+    on the edge vw."""
+    link = {}
+    for t in brute_faces(K, 2):
+        if v in t:
+            for w in t - {v}:
+                link.setdefault(w, []).extend(t - {v, w})
+    return {w: sorted(thirds) for w, thirds in link.items()}
+
+
+def test_link_graphs_match_recomputation(fixtures):
     for K in complexes(fixtures):
-        tris = brute_faces(K, 2)
-        for v in range(K.num_vertices):
-            assert sorted(map(sorted, K.vertex_star(v))) == \
-                sorted(sorted(t) for t in tris if v in t)
-        for e in brute_faces(K, 1):
-            assert sorted(map(sorted, K.edge_star(e))) == \
-                sorted(sorted(t) for t in tris if e < t)
-        assert K.edge_star(frozenset({0, K.num_vertices})) == ()
+        graphs = _link_graphs(K)
+        assert len(graphs) == K.num_vertices
+        for v, adj in enumerate(graphs):
+            assert {w: sorted(thirds) for w, thirds in adj.items()} == \
+                brute_link(K, v)
+    # the mixed complex: a tetrahedron vertex links a triangle, and a
+    # vertex of one triangle links an edge, which is not a cycle
+    mixed = complexes(fixtures)[0]
+    assert mixed._links[0] == (1, 2, 3)
+    assert _link_graphs(mixed)[4] == {5: [6], 6: [5]}
+    assert mixed._links[4] is None
 
 
 def test_link_cycle_order_and_defects():
     tetra = complex_from_facets(tuple("abcd"), [
         frozenset(t) for t in itertools.combinations(range(4), 3)])
     # starts at the least link vertex, then its lesser neighbor
-    assert link_cycle(tetra, 0) == [1, 2, 3]
-    assert link_cycle(tetra, 3) == [0, 1, 2]
+    assert tetra._links[0] == (1, 2, 3)
+    assert tetra._links[3] == (0, 1, 2)
     # two tetrahedra pinched at vertex 3: its link is two triangles
     pinched = complex_from_facets(tuple("abcdefg"), [
         frozenset(t) for t in itertools.combinations(range(4), 3)]
         + [frozenset(t) for t in itertools.combinations(range(3, 7), 3)])
-    assert link_cycle(pinched, 3) is None
-    assert link_cycle(pinched, 0) == [1, 2, 3]
+    assert pinched._links[3] is None
+    assert pinched._links[0] == (1, 2, 3)
     isolated = complex_from_facets(("a", "b"), [frozenset({0})])
-    assert link_cycle(isolated, 1) is None
+    assert isolated._links[1] is None
+
+
+def hand_made_nu(L, rng, apart):
+    """A seeded involution of L's vertices; with `apart`, each pair shares
+    no facet, and a vertex left without a partner is fixed."""
+    n = L.base.num_vertices
+    near = [set() for _ in range(n)]
+    if apart:
+        for f in L.base.facets:
+            for v in f:
+                near[v] |= f
+    nu = list(range(n))
+    order = rng.sample(range(n), n)
+    unpaired = set(order)
+    for v in order:
+        if v in unpaired:
+            unpaired.discard(v)
+            choices = sorted(unpaired - near[v])
+            if choices:
+                u = rng.choice(choices)
+                nu[v], nu[u] = u, v
+                unpaired.discard(u)
+    return tuple(nu)
+
+
+def involution_corpus(fixtures):
+    graphs = [g for g in map(random_graph, range(150)) if g.n <= 8]
+    graphs += [fx.embedding.graph for fx in fixtures]
+    out = [lovasz_complex(g) for g in graphs]
+    out += [lovasz_from_quadrangulation(fx.embedding) for fx in fixtures
+            if fx.embedding._hypothesis_failure is None]
+    rng = random.Random(15)
+    out += [dataclasses.replace(L, nu=hand_made_nu(L, rng, apart))
+            for L in out[:80] for apart in (False, True)]
+    return out
+
+
+def test_involution_checks_match_all_faces_reference(fixtures):
+    corpus = involution_corpus(fixtures)
+    assert len(corpus) > 200
+    free = []
+    for L in corpus:
+        face = nu_free_on_faces(L)
+        ref_face = reference.nu_free_on_faces(L)
+        assert (face is None) == (ref_face is None)
+        free.append(face is None)
+        if face is None:
+            assert quotient_complex(L) == reference.quotient_complex(L)
+            continue
+        assert frozenset(L.nu[v] for v in face) == face
+        assert any(face <= f for f in L.base.facets)
+        raised = []
+        for check in (quotient_complex, reference.quotient_complex):
+            with pytest.raises(HypothesisError) as info:
+                check(L)
+            raised.append(info.value.hypothesis)
+        assert raised == ["involution free on faces"] * 2
+    # the CN involution is free; the hand-made ones, the last 160, give
+    # both outcomes
+    assert all(free[:-160])
+    assert 50 < sum(free[-160:]) < 110
 
 
 def test_mixed_sizes_keep_only_maximal_faces():

@@ -137,17 +137,17 @@ class TestCutting:
 
 class TestOddness:
     def test_projective_k4_is_odd(self, k4p):
-        verdict = is_odd_quadrangulation(k4p, run_oracle=True)
-        assert verdict.odd
-        assert verdict.oracle_complete
-        assert verdict.witness is not None
-        assert len(verdict.witness.cycle) % 2 == 1
+        assert is_odd_quadrangulation(k4p)
+        verdict, witness, complete = oddness_oracle(k4p)
+        assert verdict is True and complete
+        assert witness is not None
+        assert len(witness.cycle) % 2 == 1
 
     def test_klein_sweep_agrees_with_oracle(self, klein_odd, klein_even):
-        v = is_odd_quadrangulation(klein_odd, run_oracle=True)
-        assert v.odd
-        v = is_odd_quadrangulation(klein_even, run_oracle=True)
-        assert not v.odd
+        for e, odd in ((klein_odd, True), (klein_even, False)):
+            assert is_odd_quadrangulation(e) is odd
+            verdict, _, _ = oddness_oracle(e)
+            assert verdict in (None, odd)
 
     def test_oracle_returns_witness_on_odd(self, klein_odd):
         verdict, witness, _ = oddness_oracle(klein_odd, 200000)

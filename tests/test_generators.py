@@ -3,9 +3,10 @@ import pytest
 from loquad.embeddings import is_orientable_embedding, surface_class
 from loquad.fileio import (dump_embedding, dump_graph, parse_embedding,
                            parse_graph)
-from loquad.generators import (KLEIN_SWEEP, figure1_graph, fixture_text,
-                               k4_projective, k23_sphere, klein_grid,
-                               shipped_fixtures, torus_grid)
+from loquad.generators import (KLEIN_SWEEP, FamilySpec, _self_check,
+                               figure1_graph, fixture_text, k4_projective,
+                               k23_sphere, klein_grid, shipped_fixtures,
+                               torus_grid)
 from loquad.graphs import GraphError, is_bipartite
 
 
@@ -44,6 +45,21 @@ class TestFamilies:
         # every call; reaching here means the checks passed
         assert surface_class(k4p).genus == 1
         assert surface_class(t33).euler == 0
+
+    def test_only_stated_fields_are_checked(self, k4p):
+        wrong = FamilySpec("k4-projective", (), orientable=False, euler=1,
+                           bipartite=True, all_facial=False, odd=False)
+        with pytest.raises(GraphError,
+                           match="bipartite, all_facial, oddness annotation"):
+            _self_check(k4p, wrong)
+        unstated = FamilySpec("k4-projective", (), orientable=False, euler=1)
+        assert _self_check(k4p, unstated) is k4p
+
+    def test_grids_compare_no_value_with_itself(self):
+        # a Klein grid states neither its facial verdict nor its oddness,
+        # so generating it computes neither
+        e = klein_grid(3, 5, 0)
+        assert not {"_facial", "_odd"} & e.__dict__.keys()
 
 
 class TestShippedFixtures:

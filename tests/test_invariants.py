@@ -174,18 +174,11 @@ class TestInvariantReport:
 
 
 class TestCrossCheckDisagreements:
-    def test_oracle_disagreement_is_a_violation(self, monkeypatch, k4p):
-        # k4-projective is odd; an oracle that finds no witness disagrees
-        monkeypatch.setattr(embeddings, "oddness_oracle",
-                            lambda e, cap: (False, None, True))
-        with pytest.raises(InvariantViolation, match="oddness disagreement"):
-            embeddings.is_odd_quadrangulation(k4p, run_oracle=True)
-
     def test_gray_parity_contradiction_is_a_violation(self, monkeypatch,
                                                       k4p):
         # gray count 3 says odd; a decision of not odd contradicts it
         monkeypatch.setattr("loquad.invariants.is_odd_quadrangulation",
-                            lambda e: embeddings.OddnessVerdict(False))
+                            lambda e: False)
         with pytest.raises(InvariantViolation,
                            match=r"gray parity \(3\) contradicts"):
             invariant_report(k4p)
@@ -322,9 +315,9 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
         verdicts_built.append(K)
         return verdict(K)
 
-    def counting_link_walk(star, v):
-        links_walked.append(v)
-        return link_walk(star, v)
+    def counting_link_walk(adj):
+        links_walked.append(adj)
+        return link_walk(adj)
 
     reports_built = []
     report = invariants.invariant_report

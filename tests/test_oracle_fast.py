@@ -29,11 +29,12 @@ from cut_reference import cut_along_cycle
 from loquad import embeddings
 from loquad.embeddings import (EmbeddedGraph, cut_surface_orientable,
                                is_orientable_embedding, oddness_oracle)
-from loquad.generators import klein_grid, shipped_fixtures, torus_grid
+from loquad.generators import (k4_projective, klein_grid, shipped_fixtures,
+                               torus_grid)
 from loquad.graphs import (DEFAULT_ORACLE_CYCLE_CAP, Graph, GraphError,
                            canonical_cycle, enumerate_simple_cycles,
                            is_bipartite, norm_edge, simple_cycles)
-from loquad.invariants import invariant_report
+from loquad.invariants import invariant_report, verify_theorems
 
 
 def reference_cut(e, cycle):
@@ -474,6 +475,19 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert invariant_report(report_quad).odd is True
     assert duals == [odd_quad, even_quad]
     assert coherences == [odd_quad, even_quad, report_quad]
+    # and its cuts read the same table
+    assert oddness_oracle(report_quad, 200000)[0] is True
+    assert coherences == [odd_quad, even_quad, report_quad]
+
+    # verify --oracle decides oddness and cuts over one table per input
+    inputs = [EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+              for e in (k4_projective(), klein_grid(3, 5, 0),
+                        klein_grid(6, 3, 0))]
+    coherences.clear()
+    for e in inputs:
+        verdicts = verify_theorems(e, run_oracle=True, oracle_cap=3000)
+        assert all(v.passed for v in verdicts), verdicts
+    assert [id(e) for e in coherences] == [id(e) for e in inputs]
 
 
 # ---------------------------------------------------------------------------

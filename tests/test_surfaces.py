@@ -53,6 +53,9 @@ class TestRecognition:
         assert verdict.witness.kind == "edge-degree"
         # the least bad edge is named: (0,2) lies in one triangle only
         assert verdict.witness.detail == "edge (0,1) in 3 triangles"
+        # a boundary edge is bad too
+        disc = check_surface(build(4, [(0, 1, 2), (0, 2, 3)]))
+        assert disc.witness.detail == "edge (0,1) in 1 triangles"
 
     def test_bad_vertex_link(self):
         # two tetrahedra glued at one vertex: every edge is fine but the
