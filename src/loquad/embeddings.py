@@ -88,9 +88,10 @@ class EmbeddedGraph:
 
     @cached_property
     def _quad(self) -> QuadVerdict:
-        for f in trace_faces(self):
-            if len(f) != 4 or not f.is_simple_cycle():
-                return QuadVerdict(False, f.boundary)
+        for walk in self._walks:
+            boundary = tuple(u for u, _, _ in walk)
+            if len(boundary) != 4 or len(set(boundary)) != 4:
+                return QuadVerdict(False, boundary)
         return QuadVerdict(True)
 
     @cached_property
@@ -100,7 +101,8 @@ class EmbeddedGraph:
         if not quad.ok:
             raise HypothesisError("embedding is a quadrangulation",
                                   f"face {quad.bad_face}")
-        facial = {f.canonical() for f in trace_faces(self)}
+        facial = {canonical_cycle([u for u, _, _ in walk])
+                  for walk in self._walks}
         for c in four_cycles(self.graph):
             if c not in facial:
                 return FacialVerdict(False, c)

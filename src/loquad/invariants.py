@@ -17,16 +17,15 @@ from .graphs import (DEFAULT_CHROMATIC_CAP, DEFAULT_ORACLE_CYCLE_CAP,
                      find_domination, find_k23, is_bipartite, is_connected,
                      is_k23)
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
-                        lovasz_complex, nu_free_on_faces, quotient_complex)
-from .surfaces import (SurfaceClass, check_surface, classify,
-                       double_cover_branch)
+                        lovasz_complex, nu_free_on_faces)
+from .surfaces import SurfaceClass, check_surface, double_cover_branch
 from .embeddings import (EmbeddedGraph, all_4cycles_facial,
                          check_face_rule_hypotheses, embedded_isomorphic,
                          euler_characteristic, has_even_one_sided_class,
                          is_odd_quadrangulation, is_orientable_embedding,
-                         is_quadrangulation, lovasz_from_quadrangulation,
-                         lovasz_quads, lovasz_quotient_embedding,
-                         oddness_functional, oddness_oracle, surface_class)
+                         is_quadrangulation, lovasz_quads,
+                         lovasz_quotient_embedding, oddness_functional,
+                         oddness_oracle, surface_class)
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +169,34 @@ class GrayReport:
 
 
 def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
-    """Full invariant pipeline for a quadrangulation with facial 4-cycles.
+    """Full invariant pipeline for a quadrangulation with facial 4-cycles,
+    read off its faces in O(F); no complex is built.
 
-    Gray parity decides the cohomological index, which on surfaces equals
-    the index; the coindex is read off the classification of the complex
-    (2 for the sphere, 1 for every other closed surface).  The chromatic
-    lower bound is index + 2.  The inequality chain
-    coindex <= cohom-index <= index and the gray/cyclic-count congruence
-    are asserted before reporting.
+    By the main theorem, under the face-rule hypotheses Lo(G) is a closed
+    surface with twice G's Euler characteristic, orientable iff G has no
+    even one-sided cycle, and each face a-b-c-d is one involution orbit
+    of quads (a+1, -(b+1), c+1, -(d+1)) labeled as by `build_labeling`.
+    With p0 the corner of least ("min") or greatest ("max") |label| and
+    p1, p2, p3 those after it, the quad has a gray triangle for each of
+    p1, p3 between p0 and p2, and is cyclic when p1, p2, p3 are monotone.
+    Gray parity gives the cohomological index, equal to the index on
+    surfaces; the coindex is 2 on the sphere, else 1; the chromatic lower
+    bound is index + 2.  The gray/cyclic parity, the oddness decision and
+    coindex <= cohom-index <= index are checked before reporting.
     """
-    L = lovasz_from_quadrangulation(e)
-    lo_class = classify(L.base)
-    labeling = build_labeling(L)
-    quads = labeled_quads(L)
-    triangles = symmetric_triangulation(quads, labeling, rule)
-    gray = gray_count(triangles, labeling)
-    r = cyclic_quad_count(quads, labeling)
+    check_face_rule_hypotheses(e)
+    if rule not in ("min", "max"):
+        raise ValueError(f"unknown triangulation rule {rule!r}")
+    # corners compare as their |label|s, negated under "max" so that the
+    # diagonal corner q[k] is the least; p1, p2, p3 follow it cyclically
+    sign = 1 if rule == "min" else -1
+    gray = r = 0
+    for walk in e._walks:
+        q = [sign * u for u, _, _ in walk]
+        k = q.index(min(q))
+        p1, p2, p3 = q[k - 3], q[k - 2], q[k - 1]
+        gray += (p1 < p2) + (p3 < p2)
+        r += (p1 < p2) == (p2 < p3)
     if gray % 2 != r % 2:
         raise InvariantViolation(
             f"gray count {gray} and cyclic count {r} differ in parity")
@@ -199,6 +210,8 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
                 f"({odd})")
     # on surfaces the cohomological index equals the index
     ind = cohom_ind
+    lo_class = SurfaceClass.from_euler(not has_even_one_sided_class(e),
+                                       2 * euler_characteristic(e))
     coind = 2 if (lo_class.orientable and lo_class.genus == 0) else 1
     if not coind <= cohom_ind <= ind:
         raise InvariantViolation(
@@ -272,8 +285,8 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
     - vertex_kinds: every complex vertex is a singleton, neighborhood or
       diagonal.
     - double_cover_surface: the complex is a closed surface with twice the
-      Euler characteristic, the involution is free on faces, and the
-      quotient complex exists.
+      Euler characteristic, and the involution is free on faces, which is
+      what makes the quotient complex exist.
     - complex_orientability: the complex is orientable exactly when the
       graph has no even one-sided cycle.
     - genus_correspondence: the complex class determines the base class
@@ -353,7 +366,6 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
             if fixed is not None:
                 problems.append(f"involution fixes face {fixed}")
             if not problems:
-                quotient_complex(L)
                 lo = verdict.surface
             out.append(_verdict(name, not problems, "; ".join(problems)))
 

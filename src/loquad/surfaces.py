@@ -97,8 +97,10 @@ def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
     if comps != 1:
         return SurfaceVerdict(False, SurfaceDefect(
             "disconnected", f"{comps} components"))
+    # each edge uw is a vertex of the links of u and w
+    edges = sum(map(len, links)) // 2
     return SurfaceVerdict(True, None, SurfaceClass.from_euler(
-        forest.balanced, euler_characteristic(K)))
+        forest.balanced, K.num_vertices - edges + len(K.facets)))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

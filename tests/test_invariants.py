@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import drawn
 from loquad import complexes, embeddings, invariants, surfaces
 from loquad.complexes import HypothesisError, lovasz_complex
 from loquad.embeddings import (EmbeddedGraph, embedded,
@@ -10,6 +11,7 @@ from loquad.invariants import (build_labeling, cyclic_quad_count, gray_count,
                                invariant_report, is_gray, labeled_quads,
                                symmetric_triangulation, verify_theorems)
 from loquad.surfaces import SurfaceClass
+from report_reference import complex_report
 
 
 def complete_graph(n):
@@ -184,6 +186,59 @@ class TestCrossCheckDisagreements:
             invariant_report(k4p)
 
 
+# ---------------------------------------------------------------------------
+# The report from the faces against the report through the complex
+# ---------------------------------------------------------------------------
+
+def _fresh(e):
+    return EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+
+
+def _outcome(report, e, rule):
+    """The report on a fresh copy of e, or the type and text of its raise."""
+    try:
+        return report(_fresh(e), rule)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_routes_agree(e):
+    for d in (e, drawn(e, 1)[0]):
+        for rule in ("min", "max"):
+            assert _outcome(invariant_report, d, rule) == \
+                _outcome(complex_report, d, rule), rule
+
+
+GRIDS = ([("klein", m, n, t) for m in range(3, 9) for n in range(3, 9)
+          for t in (0, 1)]
+         + [("torus", m, n) for m in range(3, 9) for n in range(3, 9)])
+
+
+class TestFaceRoute:
+    def test_fixtures(self, fixtures):
+        for fx in fixtures:
+            _assert_routes_agree(fx.embedding)
+
+    @pytest.mark.parametrize("grid", GRIDS,
+                             ids=lambda g: "-".join(map(str, g)))
+    def test_grids(self, grid):
+        family, *params = grid
+        _assert_routes_agree((klein_grid if family == "klein"
+                              else torus_grid)(*params))
+
+    def test_unknown_rule_after_the_hypotheses(self, k4p):
+        for e in (k4p, torus_grid(4, 4)):
+            assert _outcome(invariant_report, e, "diagonal") == \
+                _outcome(complex_report, e, "diagonal")
+
+    def test_no_complex_is_built(self, k4p, klein_odd, t33):
+        for e in (k4p, klein_odd, t33):
+            e = _fresh(e)
+            for rule in ("min", "max"):
+                invariant_report(e, rule)
+            assert "_face_rule_complex" not in e.__dict__
+
+
 class TestVerifyTheorems:
     def test_all_pass_on_good_fixtures(self, k4p, t33, klein_odd):
         for e in (k4p, t33, klein_odd):
@@ -301,9 +356,10 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     monkeypatch.setattr(embeddings, "_assemble_lovasz", counting_assemble)
     e = report_input
     first = invariant_report(e)
-    assert walked == [e] and len(assembled) == 1
+    # the report reads the faces and builds no complex
+    assert walked == [e] and assembled == []
     assert invariant_report(e) == first
-    assert walked == [e] and len(assembled) == 1
+    assert walked == [e] and assembled == []
 
     walked.clear()
     assembled.clear()
@@ -343,13 +399,12 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     # the input only: the map isomorphism of quotient_round_trip steps
     # states of the folded embedding without tracing its faces
     assert walked == [e]
-    assert len(assembled) == 1
-    # the definitional complex and the face-rule complex, 140 vertices each
-    assert len(verdicts_built) == 2
-    assert verdicts_built[0] is not verdicts_built[1]
-    assert len(links_walked) == sum(K.num_vertices for K in verdicts_built)
-    assert len(links_walked) == 280
+    # no face-rule complex; one verdict, on the definitional complex of
+    # 140 vertices
+    assert assembled == []
+    assert len(verdicts_built) == 1
+    assert len(links_walked) == verdicts_built[0].num_vertices == 140
     # gray_parity_agreement and chromatic_bound share the min-rule report
     assert reports_built == ["min", "max"]
-    # each report labels the quads of its complex once
-    assert len(quads_labeled) == 2
+    # neither report labels the quads of a complex
+    assert quads_labeled == []
