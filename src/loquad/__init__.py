@@ -9,8 +9,7 @@ with independent brute-force oracles.
 
 from .graphs import Graph
 from .complexes import LovaszComplex, SimplicialComplex, lovasz_complex
-from .embeddings import (EmbeddedGraph, embedded, is_odd_quadrangulation,
-                         lovasz_from_quadrangulation,
+from .embeddings import (EmbeddedGraph, embedded, lovasz_from_quadrangulation,
                          lovasz_quotient_embedding, trace_faces)
 from .surfaces import SurfaceClass, check_surface, classify
 from .invariants import GrayReport, invariant_report, verify_theorems
@@ -18,8 +17,7 @@ from .invariants import GrayReport, invariant_report, verify_theorems
 __all__ = [
     "Graph", "SimplicialComplex", "LovaszComplex", "lovasz_complex",
     "EmbeddedGraph", "embedded", "trace_faces",
-    "is_odd_quadrangulation", "lovasz_from_quadrangulation",
-    "lovasz_quotient_embedding",
+    "lovasz_from_quadrangulation", "lovasz_quotient_embedding",
     "SurfaceClass", "check_surface", "classify",
     "GrayReport", "invariant_report", "verify_theorems",
 ]

@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
-                        _assemble_lovasz, _rot_step)
+                        _assemble_lovasz, _rot_step, quotient_complex)
 from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, Edge, Graph, GraphError,
                      InvariantViolation, canonical_cycle, four_cycles,
                      is_bipartite, is_connected, norm_edge, signed_forest,
@@ -201,10 +201,6 @@ class FaceWalk:
     def canonical(self) -> tuple[int, ...]:
         return canonical_cycle(self.boundary)
 
-    def is_simple_cycle(self) -> bool:
-        b = self.boundary
-        return len(set(b)) == len(b) and len(b) >= 3
-
 
 State = tuple[int, int, int]    # (from, to, side flag)
 Coherence = tuple[list[tuple[int, int, int]], list[bool],
@@ -256,18 +252,12 @@ def _face_state_walks(e: EmbeddedGraph) -> list[list[State]]:
     for i, orbit in enumerate(orbits):
         if i in used:
             continue
-        used.add(i)
         j = orbit_id[_mirror_state(e, orbit[0])]
-        if j != i:
-            used.add(j)
-            walk = orbit
-        else:
-            # self-mirrored orbit traverses the face in both directions
-            if len(orbit) % 2:
-                raise InvariantViolation("self-mirrored face orbit of odd "
-                                         "length")
-            walk = orbit[: len(orbit) // 2]
-        walks.append(walk)
+        # a face is a disc, so its two traversals are two different orbits
+        if j == i:
+            raise InvariantViolation("self-mirrored face orbit")
+        used.add(j)
+        walks.append(orbit)
     if sum(len(w) for w in walks) != 2 * e.graph.num_edges:
         raise InvariantViolation("face walks do not use every dart once")
     return walks
@@ -526,25 +516,6 @@ def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
     return False, None, True
 
 
-def is_odd_quadrangulation(e: EmbeddedGraph) -> bool:
-    """Oddness decided homologically, by `oddness_functional`.
-
-    Requires a connected non-bipartite quadrangulation of a non-orientable
-    surface.
-    """
-    if not is_connected(e.graph):
-        raise HypothesisError("graph connected")
-    if is_bipartite(e.graph):
-        raise HypothesisError("graph non-bipartite")
-    quad = is_quadrangulation(e)
-    if not quad.ok:
-        raise HypothesisError("embedding is a quadrangulation",
-                              f"face {quad.bad_face}")
-    if is_orientable_embedding(e):
-        raise HypothesisError("surface non-orientable")
-    return oddness_functional(e)
-
-
 # ---------------------------------------------------------------------------
 # Embedded isomorphism
 # ---------------------------------------------------------------------------
@@ -635,64 +606,36 @@ def rotation_system_of_surface(K) -> EmbeddedGraph:
     return EmbeddedGraph(skel, rots, signs)
 
 
-def _cyclic_direction(a: Sequence[int], b: Sequence[int]) -> int:
-    """+1 if b is a rotation of a, -1 if of reversed a; raises otherwise."""
-    if len(a) != len(b):
-        raise ValueError("cyclic sequences of different lengths")
-    k = len(a)
-    for direction, seq in ((1, list(a)), (-1, list(reversed(a)))):
-        for s in range(k):
-            if all(seq[(s + j) % k] == b[j] for j in range(k)):
-                return direction
-    raise ValueError("sequences are not cyclically related")
-
-
 def lovasz_quotient_embedding(L: LovaszComplex) -> EmbeddedGraph:
-    """The induced quadrangulation of the surface, quotiented by the involution.
+    """The graph folded out of the orbit surface Lo(G)/Z2.
 
-    The subgraph on singletons and neighborhoods quadrangulates the surface
-    (each diagonal's link is one quad).  Folding it by the involution gives
-    an embedding of the original graph: rotations are read off the
-    singleton representatives, and signs compose the surface signs with the
-    orientation behavior of the involution at each vertex.
+    `quotient_complex` gives the orbit surface: one vertex per graph
+    vertex v, the orbit {{v}, N(v)}, and one per face, a diagonal orbit.
+    `rotation_system_of_surface` turns it into a signed rotation system.
+    The rotation of v is the link cycle of its orbit with the face
+    vertices dropped, and the sign of uv is the link-rotation sign of the
+    quotient edge between their orbits.  Requires Lo(G) to be a closed
+    surface on which the involution acts freely.
     """
-    surf = rotation_system_of_surface(L.base)    # classifies L.base first
+    classify(L.base)
     if any(k is VertexKind.OTHER for k in L.kinds):
         raise HypothesisError("every vertex is singleton/neighborhood/diagonal")
+    Q, orbit = quotient_complex(L)
+    surf = rotation_system_of_surface(Q)    # classifies Q first
     g = L.graph
-    singleton_of = {}
-    for i, lab in enumerate(L.labels):
-        if L.kinds[i] is VertexKind.SINGLETON:
-            singleton_of[lab[0]] = i
-    # the quotient image v of each singleton {v} and neighborhood N(v)
-    down = {i: L.labels[i if k is VertexKind.SINGLETON else L.nu[i]][0]
-            for i, k in enumerate(L.kinds) if k is not VertexKind.DIAGONAL}
-
-    # orientation behavior of the involution at each vertex: does it map the
-    # oriented link of {v} onto the chosen orientation of the link of N(v)?
-    tau = {}
-    for v in range(g.n):
-        sv = singleton_of[v]
-        nv = L.nu[sv]
-        mapped = [L.nu[x] for x in surf.rotations[sv]]
-        tau[v] = _cyclic_direction(mapped, surf.rotations[nv])
-
+    # the orbit of each graph vertex, and the graph vertex of each orbit
+    at = {L.labels[i][0]: orbit[i]
+          for i, k in enumerate(L.kinds) if k is VertexKind.SINGLETON}
+    down = {q: v for v, q in at.items()}
     rotations = []
     for v in range(g.n):
-        sv = singleton_of[v]
-        rot = [down[u] for u in surf.rotations[sv] if u in down]
+        rot = [down[x] for x in surf.rotations[at[v]] if x in down]
         if sorted(rot) != sorted(g.adj[v]):
             raise HypothesisError(
                 "induced subgraph quadrangulates the surface",
                 f"rotation mismatch at {g.names[v]}")
         rotations.append(tuple(rot))
-    signs: dict[Edge, int] = {}
-    for u, v in g.edges:
-        s1 = surf.sign(singleton_of[u], L.nu[singleton_of[v]]) * tau[v]
-        s2 = surf.sign(singleton_of[v], L.nu[singleton_of[u]]) * tau[u]
-        if s1 != s2:
-            raise RuntimeError("inconsistent quotient edge sign")
-        signs[(u, v)] = s1
+    signs = {(u, v): surf.sign(at[u], at[v]) for u, v in g.edges}
     return EmbeddedGraph(g, tuple(rotations), signs)
 
 

@@ -211,11 +211,23 @@ def find_k23(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int, int]]]
 
 
 def find_domination(g: Graph) -> Optional[tuple[int, int]]:
-    """Distinct (u, v) with N(u) a subset of N(v), or None."""
+    """The lexicographically first distinct (u, v) with N(u) a subset of
+    N(v), or None.
+
+    Such a v is adjacent to every neighbour of u, so only the v in N(w)
+    are tried, for the neighbour w of u of least degree; an empty N(u)
+    lies in every other neighbourhood.
+    """
     for u in range(g.n):
-        for v in range(g.n):
-            if u != v and g.adj[u] <= g.adj[v]:
-                return (u, v)
+        if not g.adj[u]:
+            if g.n > 1:
+                return (u, 1 if u == 0 else 0)
+            continue
+        w = min(g.adj[u], key=g.degree)
+        v = min((v for v in g.adj[w] if v != u and g.adj[u] <= g.adj[v]),
+                default=None)
+        if v is not None:
+            return (u, v)
     return None
 
 

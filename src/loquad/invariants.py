@@ -22,10 +22,9 @@ from .surfaces import SurfaceClass, check_surface, double_cover_branch
 from .embeddings import (EmbeddedGraph, all_4cycles_facial,
                          check_face_rule_hypotheses, embedded_isomorphic,
                          euler_characteristic, has_even_one_sided_class,
-                         is_odd_quadrangulation, is_orientable_embedding,
-                         is_quadrangulation, lovasz_quads,
-                         lovasz_quotient_embedding, oddness_functional,
-                         oddness_oracle, surface_class)
+                         is_orientable_embedding, is_quadrangulation,
+                         lovasz_quads, lovasz_quotient_embedding,
+                         oddness_functional, oddness_oracle, surface_class)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     cohom_ind = 2 if gray % 2 == 1 else 1
     odd: Optional[bool] = None
     if not is_orientable_embedding(e):
-        odd = is_odd_quadrangulation(e)
+        odd = oddness_functional(e)
         if odd != (cohom_ind == 2):
             raise InvariantViolation(
                 f"gray parity ({gray}) contradicts the oddness decision "

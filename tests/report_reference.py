@@ -10,9 +10,9 @@ with the same cross-checks.
 
 from typing import Optional
 
-from loquad.embeddings import (EmbeddedGraph, is_odd_quadrangulation,
-                               is_orientable_embedding,
-                               lovasz_from_quadrangulation)
+from loquad.embeddings import (EmbeddedGraph, is_orientable_embedding,
+                               lovasz_from_quadrangulation,
+                               oddness_functional)
 from loquad.graphs import InvariantViolation
 from loquad.invariants import (GrayReport, build_labeling, cyclic_quad_count,
                                gray_count, labeled_quads,
@@ -34,7 +34,7 @@ def complex_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     cohom_ind = 2 if gray % 2 == 1 else 1
     odd: Optional[bool] = None
     if not is_orientable_embedding(e):
-        odd = is_odd_quadrangulation(e)
+        odd = oddness_functional(e)
         if odd != (cohom_ind == 2):
             raise InvariantViolation(
                 f"gray parity ({gray}) contradicts the oddness decision "

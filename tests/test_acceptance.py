@@ -10,11 +10,10 @@ import random
 from loquad.complexes import (closed_sets, lovasz_complex, nu_free_on_faces,
                               quotient_complex)
 from loquad.embeddings import (all_4cycles_facial, embedded_isomorphic,
-                               is_bipartite, is_odd_quadrangulation,
-                               is_orientable_embedding, is_quadrangulation,
-                               lovasz_from_quadrangulation,
-                               lovasz_quotient_embedding, oddness_oracle,
-                               rotation_system_of_surface)
+                               is_bipartite, is_orientable_embedding,
+                               is_quadrangulation, lovasz_from_quadrangulation,
+                               lovasz_quotient_embedding, oddness_functional,
+                               oddness_oracle, rotation_system_of_surface)
 from loquad.generators import shipped_fixtures
 from loquad.graphs import (Graph, chromatic_number, common_neighbors,
                            find_domination, find_k23, is_connected, is_k23)
@@ -86,7 +85,7 @@ def test_acceptance_2_k4_pipeline(k4p):
     assert nu_free_on_faces(L) is None
     quotient = lovasz_quotient_embedding(lovasz_from_quadrangulation(k4p))
     assert embedded_isomorphic(quotient, k4p)
-    assert is_odd_quadrangulation(k4p)
+    assert oddness_functional(k4p)
     verdict, _, complete = oddness_oracle(k4p)
     assert verdict is True and complete
     r = invariant_report(k4p)
@@ -158,7 +157,7 @@ def test_acceptance_6_oddness_equivalence(fixtures):
     mismatches = []
     checked = 0
     for name, e in _nonorientable_all_facial(fixtures):
-        odd = is_odd_quadrangulation(e)
+        odd = oddness_functional(e)
         verdict, _, _ = oddness_oracle(e, oracle_cap(e))
         L = lovasz_from_quadrangulation(e)
         lab, quads = build_labeling(L), labeled_quads(L)
@@ -233,7 +232,7 @@ def test_acceptance_9_klein_family_split(fixtures):
     for name, e in _nonorientable_all_facial(fixtures):
         if name == "k4-projective":
             continue
-        odd = is_odd_quadrangulation(e)
+        odd = oddness_functional(e)
         verdict, witness, complete = oddness_oracle(e, oracle_cap(e))
         assert verdict in (None, odd), name
         r = invariant_report(e)

@@ -3,11 +3,11 @@ import pytest
 from conftest import drawn
 from cut_reference import cut_along_cycle
 from loquad import embeddings
-from loquad.complexes import HypothesisError
+from loquad.complexes import HypothesisError, lovasz_complex
 from loquad.embeddings import (EmbeddedGraph, all_4cycles_facial,
+                               check_face_rule_hypotheses,
                                cut_surface_orientable, embedded,
                                embedded_isomorphic, euler_characteristic,
-                               is_odd_quadrangulation,
                                is_orientable_embedding, is_quadrangulation,
                                lovasz_from_quadrangulation,
                                lovasz_quotient_embedding, oddness_functional,
@@ -137,7 +137,7 @@ class TestCutting:
 
 class TestOddness:
     def test_projective_k4_is_odd(self, k4p):
-        assert is_odd_quadrangulation(k4p)
+        assert oddness_functional(k4p)
         verdict, witness, complete = oddness_oracle(k4p)
         assert verdict is True and complete
         assert witness is not None
@@ -145,7 +145,7 @@ class TestOddness:
 
     def test_klein_sweep_agrees_with_oracle(self, klein_odd, klein_even):
         for e, odd in ((klein_odd, True), (klein_even, False)):
-            assert is_odd_quadrangulation(e) is odd
+            assert oddness_functional(e) is odd
             verdict, _, _ = oddness_oracle(e)
             assert verdict in (None, odd)
 
@@ -153,13 +153,6 @@ class TestOddness:
         verdict, witness, _ = oddness_oracle(klein_odd, 200000)
         assert verdict is True
         assert witness.cut_surface_orientable
-
-    def test_hypothesis_errors(self, t33, t34):
-        with pytest.raises(HypothesisError):
-            is_odd_quadrangulation(t33)    # orientable
-        assert not is_bipartite(t33.graph)
-        with pytest.raises(HypothesisError):
-            is_odd_quadrangulation(sphere_quad())   # bipartite
 
     def test_reversal_parity_matches_cup_product(self):
         # the fixtures, Klein grids m, n in 3..9 with twists 0..2 and torus
@@ -246,3 +239,34 @@ class TestQuotientRoundTrip:
         e = torus_grid(3, 5)
         L = lovasz_from_quadrangulation(e)
         assert embedded_isomorphic(lovasz_quotient_embedding(L), e)
+
+    def test_fold_round_trips_on_grids_and_fixtures(self):
+        # the fixtures, Klein grids m, n in 3..8 with twists 0..1 and torus
+        # grids m, n in 3..8 that meet the face-rule hypotheses, each as
+        # generated and in two seeded draws, each complex built both by
+        # the definition and by the face rule
+        base = [f.embedding for f in shipped_fixtures()]
+        base += [klein_grid(m, n, t) for m in range(3, 9)
+                 for n in range(3, 9) for t in range(2)]
+        base += [torus_grid(m, n) for m in range(3, 9) for n in range(3, 9)]
+        folds = 0
+        for e in base:
+            try:
+                check_face_rule_hypotheses(e)
+            except HypothesisError:
+                continue
+            for d in (e, drawn(e, 1)[0], drawn(e, 2)[0]):
+                for L in (lovasz_complex(d.graph),
+                          lovasz_from_quadrangulation(d)):
+                    assert embedded_isomorphic(lovasz_quotient_embedding(L),
+                                               d)
+                    folds += 1
+        assert folds == 384
+
+    def test_fold_names_the_defect_of_the_double_cover(self):
+        # a non-facial 4-cycle leaves Lo(G) short of a closed surface
+        L = lovasz_complex(torus_grid(3, 4).graph)
+        with pytest.raises(HypothesisError,
+                           match=r"closed surface \(edge \(\(0,\),\(0, 4, 5, "
+                                 r"6\)\) in 3 triangles\)"):
+            lovasz_quotient_embedding(L)

@@ -89,6 +89,30 @@ class TestSmallStructures:
     def test_no_domination_in_k4(self):
         assert find_domination(complete_graph(4)) is None
 
+    def test_domination_matches_quadratic_scan(self):
+        # seeded random graphs with n <= 9, isolated vertices included
+        rng = random.Random(11)
+        found = 0
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            p = rng.random()
+            g = Graph.from_edges(n, [(u, v) for u in range(n)
+                                     for v in range(u + 1, n)
+                                     if rng.random() < p])
+            dom = find_domination(g)
+            assert dom == quadratic_domination(g)
+            found += dom is not None
+        assert found > 1000
+
+
+def quadratic_domination(g):
+    """The reference for `find_domination`: every vertex pair in order."""
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v and g.adj[u] <= g.adj[v]:
+                return (u, v)
+    return None
+
 
 class TestColoring:
     def test_clique_numbers(self):

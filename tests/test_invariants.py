@@ -179,7 +179,7 @@ class TestCrossCheckDisagreements:
     def test_gray_parity_contradiction_is_a_violation(self, monkeypatch,
                                                       k4p):
         # gray count 3 says odd; a decision of not odd contradicts it
-        monkeypatch.setattr("loquad.invariants.is_odd_quadrangulation",
+        monkeypatch.setattr("loquad.invariants.oddness_functional",
                             lambda e: False)
         with pytest.raises(InvariantViolation,
                            match=r"gray parity \(3\) contradicts"):
@@ -399,11 +399,11 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     # the input only: the map isomorphism of quotient_round_trip steps
     # states of the folded embedding without tracing its faces
     assert walked == [e]
-    # no face-rule complex; one verdict, on the definitional complex of
-    # 140 vertices
+    # no face-rule complex; two verdicts, on the definitional complex of
+    # 140 vertices and on its orbit surface of 70, which the fold reads
     assert assembled == []
-    assert len(verdicts_built) == 1
-    assert len(links_walked) == verdicts_built[0].num_vertices == 140
+    assert [K.num_vertices for K in verdicts_built] == [140, 70]
+    assert len(links_walked) == 210
     # gray_parity_agreement and chromatic_bound share the min-rule report
     assert reports_built == ["min", "max"]
     # neither report labels the quads of a complex
