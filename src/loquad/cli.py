@@ -56,18 +56,16 @@ def cmd_check(args) -> int:
     # the facial test is defined on quadrangulations only
     facial = all_4cycles_facial(e) if quad.ok else None
     connected = is_connected(e.graph)
-    k23 = find_k23(e.graph)
-    dom = find_domination(e.graph)
     report = {
         "connected": connected,
         "bipartite": is_bipartite(e.graph),
         "is_quadrangulation": quad.ok,
-        "bad_face": list(quad.bad_face) if quad.bad_face else None,
+        # tuples serialize as JSON lists, and None as null
+        "bad_face": quad.bad_face,
         "all_4cycles_facial": facial.ok if facial else None,
-        "non_facial_witness": list(facial.witness)
-        if facial and facial.witness else None,
-        "k23_witness": [list(k23[0]), list(k23[1])] if k23 else None,
-        "domination_witness": list(dom) if dom else None,
+        "non_facial_witness": facial.witness if facial else None,
+        "k23_witness": find_k23(e.graph),
+        "domination_witness": find_domination(e.graph),
         "surface": _surface_dict(surface_class(e)) if connected else None,
     }
     write_text(args.out, dump_report(report))

@@ -18,11 +18,11 @@ spanning forest of the dual graph (`_face_coherence`) leaves the set R
 of edges whose two sides do not cancel.  R is a cycle dual to the
 one-sidedness class w1: it is empty iff the surface is orientable, and a
 quadrangulation is odd iff |R| is odd.
-A cut of the oracle reads each edge's mask over the fundamental dual
-cycles and the class of the signs over them (`EmbeddedGraph._dual`), in
-O(k).  The references, `tests/cut_reference.py` and
-`tests/oddness_reference.py`, build the cut embedding and the cup
-product on a star triangulation.
+A cut reads each edge's mask over the fundamental dual cycles and the
+class of the signs over them (`EmbeddedGraph._dual`); the oracle carries
+the XOR of the masks down its cycle search, in O(1) per cycle.  The
+references, `tests/cut_reference.py` and `tests/oddness_reference.py`,
+build the cut embedding and the cup product on a star triangulation.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         _assemble_lovasz, _rot_step, quotient_complex)
 from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, Edge, Graph, GraphError,
                      InvariantViolation, canonical_cycle, four_cycles,
-                     is_bipartite, is_connected, norm_edge, signed_forest,
-                     simple_cycles)
+                     is_bipartite, is_connected, labelled_cycles, norm_edge,
+                     signed_forest)
 from .surfaces import SurfaceClass, _link_sign, classify
 
 
@@ -258,6 +258,8 @@ def _face_state_walks(e: EmbeddedGraph) -> list[list[State]]:
             raise InvariantViolation("self-mirrored face orbit")
         used.add(j)
         walks.append(orbit)
+    # a vertex without darts is a sphere with one face, of empty boundary
+    walks += [[] for rot in e.rotations if not rot]
     if sum(len(w) for w in walks) != 2 * e.graph.num_edges:
         raise InvariantViolation("face walks do not use every dart once")
     return walks
@@ -448,24 +450,17 @@ def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     the cycle meets C in its two cycle edges only, so S is empty or all
     of C.  The cut is orientable iff the class of c in
     `EmbeddedGraph._dual` is zero or equals the XOR of the masks of C's
-    edges.  Cost O(k) after one O(F + E) table per embedding; no cut
-    embedding is built, `tests/cut_reference.py` builds it.
+    edges, as in `oddness_oracle`.  Cost O(k) after one O(F + E) table
+    per embedding; no cut embedding is built, `tests/cut_reference.py`
+    builds it.
     """
     _check_cut_cycle(e, cycle)
-    return _cut_orientable(e, cycle)
-
-
-def _cut_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
-    """`cut_surface_orientable` for a cycle known to be simple."""
     masks, cls = e._dual
-    if cls == 0:
-        return True
-    flipped = 0
-    u = cycle[-1]
+    flipped, u = 0, cycle[-1]
     for v in cycle:
         flipped ^= masks[u, v]
         u = v
-    return flipped == cls
+    return cls == 0 or flipped == cls
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +493,10 @@ def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
     """Cutting oracle: search the odd simple cycles for one whose cut
     orientizes the surface.
 
-    Reads the cycles of `simple_cycles` one at a time, in its order, and
-    decides each odd one in O(k) by `_cut_orientable`; no cycle list is
-    kept.  Returns (verdict, witness, complete):
+    Streams the cycles of `graphs.labelled_cycles`, keeping none, each
+    with the XOR x of its edge masks in `EmbeddedGraph._dual`, and decides
+    each in O(1) by the rule of `cut_surface_orientable`; only a witness
+    becomes a tuple.  Returns (verdict, witness, complete):
     - (True, the first such cycle, True) once one is found among the
       first `max_cycles` cycles, which ends the search;
     - (False, None, True) when the graph has at most `max_cycles` cycles
@@ -508,10 +504,12 @@ def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
     - (None, None, False) when the first `max_cycles` cycles hold none
       and there are more; a cap of zero or below examines none.
     """
-    for examined, c in enumerate(simple_cycles(e.graph)):
+    masks, cls = e._dual
+    for examined, (path, x) in enumerate(labelled_cycles(e.graph, masks)):
         if examined >= max_cycles:
             return None, None, False
-        if len(c) % 2 == 1 and _cut_orientable(e, c):
+        if len(path) % 2 == 1 and (cls == 0 or x == cls):
+            c = tuple(path)
             return True, OrientizingWitness(c, len(c), True), True
     return False, None, True
 

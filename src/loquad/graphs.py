@@ -11,8 +11,8 @@ import bisect
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import (Any, Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Sequence)
 
 
 class GraphError(ValueError):
@@ -413,77 +413,89 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Every simple cycle once, as a canonical vertex tuple, lazily.
+def labelled_cycles(g: Graph, label: Optional[Mapping[Edge, int]] = None
+                    ) -> Iterator[tuple[list[int], int]]:
+    """Every simple cycle once, lazily, as a canonical vertex path with
+    the XOR of `label` over its edges; `label` maps each edge, both ways,
+    to an int, and None labels every edge 0.
 
-    Backtracks from each minimal vertex r, visiting only larger vertices,
-    and kills reflections by requiring second vertex s < last vertex; the
-    path is then already the canonical form of its cycle.  Neighbors are
-    taken in ascending order, and a path is emitted when its last vertex
-    joins it, before the search extends it.
+    Backtracks from each minimal vertex r over larger vertices only, and
+    kills reflections by requiring second vertex s < last vertex, so the
+    path is the canonical form of its cycle.  Neighbors go in ascending
+    order; a path is emitted when its last vertex joins it, before it is
+    extended, and the XOR rides down the path, so a cycle costs O(1).
 
     A path from r through s closes only at a neighbor of r larger than s,
-    a closer (the closing-vertex idea of Johnson, "Finding all the
-    elementary circuits of a directed graph", SIAM J. Comput. 4, 1975, in
-    a lighter form).  So s is skipped when r has no larger neighbor than
-    s, and a path that has just taken the last closer not yet on it is
-    emitted and not extended.  This prunes only subtrees that emit
-    nothing, so the order is that of the plain search.
+    a closer (after Johnson, "Finding all the elementary circuits of a
+    directed graph", SIAM J. Comput. 4, 1975).  So s is skipped when r
+    has no larger neighbor than s, and a path that has just taken the
+    last closer not on it is emitted and not extended.  This prunes only
+    subtrees that emit nothing, so the order is that of the plain search.
 
-    The search keeps an explicit stack of neighbor iterators, so its depth
-    is not bounded by the interpreter's recursion limit; it holds one
-    path, never a list of cycles, and stops when its consumer does.
+    An explicit stack of neighbor iterators frees the depth from the
+    recursion limit.  The search holds one path, never a list of cycles,
+    and stops when its consumer does; it yields that one list, which
+    changes when the search resumes, so a consumer copies what it keeps.
     """
-    nbrs = [sorted(a) for a in g.adj]
+    # per vertex its (neighbor, label) pairs, ascending; each root leaves
+    # its neighbors' lists, so they hold only vertices above the root
+    above = [sorted((w, 0 if label is None else label[v, w]) for w in a)
+             for v, a in enumerate(g.adj)]
     on_path = [False] * g.n
-    closer = [False] * g.n
+    closing: list[Optional[int]] = [None] * g.n     # label w-r of a closer
     for root in range(g.n):
-        larger = nbrs[root][bisect.bisect(nbrs[root], root):]
-        for w in larger:
-            closer[w] = True
-        for i, s in enumerate(larger[:-1]):
-            closer[s] = False
+        for w in g.adj[root]:
+            del above[w][0]
+        larger = above[root]
+        for w, lab in larger:
+            closing[w] = lab
+        for i, (s, lab) in enumerate(larger[:-1]):
+            closing[s] = None
             left = len(larger) - 1 - i      # closers not on the path
             path = [root, s]
+            x, xs = lab, [0]    # the XOR to the path's end, to each before
             on_path[s] = True
-            stack = [iter(nbrs[s])]
+            stack = [iter(above[s])]
             while stack:
-                for w in stack[-1]:
-                    if w > root and not on_path[w]:
+                for w, lab in stack[-1]:
+                    if not on_path[w]:
                         path.append(w)
-                        if closer[w]:
-                            yield tuple(path)
+                        c = closing[w]
+                        if c is not None:
+                            yield path, x ^ lab ^ c
                             if left == 1:
                                 path.pop()
                                 continue
                             left -= 1
                         on_path[w] = True
-                        stack.append(iter(nbrs[w]))
+                        xs.append(x)
+                        x ^= lab
+                        stack.append(iter(above[w]))
                         break
                 else:
                     stack.pop()
+                    x = xs.pop()
                     w = path.pop()
                     on_path[w] = False
-                    left += closer[w]
+                    left += closing[w] is not None
         if larger:
-            closer[larger[-1]] = False
+            closing[larger[-1][0]] = None
+
+
+def simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
+    """The cycles of `labelled_cycles`, in order, as vertex tuples."""
+    return (tuple(path) for path, _ in labelled_cycles(g))
 
 
 def enumerate_simple_cycles(g: Graph,
                             max_count: int = DEFAULT_ORACLE_CYCLE_CAP
                             ) -> tuple[list[tuple[int, ...]], bool]:
     """The first `max_count` cycles of `simple_cycles`, in its order, and
-    an overflow flag that is True when the graph has more.
-
-    A list of every cycle up to the cap; a search that can stop early
-    should read `simple_cycles` instead.  A cap below zero acts as zero.
-    """
+    whether the graph has more; a cap below zero acts as zero.  A search
+    that can stop early reads `simple_cycles` instead."""
     cap = max(max_count, 0)
     cycles = list(itertools.islice(simple_cycles(g), cap + 1))
-    overflow = len(cycles) > cap
-    if overflow:
-        cycles.pop()
-    return cycles, overflow
+    return cycles[:cap], len(cycles) > cap
 
 
 def four_cycles(g: Graph) -> list[tuple[int, ...]]:

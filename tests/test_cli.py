@@ -23,6 +23,10 @@ def fixture_path(tmp_path):
     return write
 
 
+# the one-vertex embedding: no edges, so no darts
+ONE_VERTEX = '{"version":1,"n":1,"rotations":[[]],"signs":[]}'
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -95,6 +99,17 @@ class TestCheck:
         assert report["bad_face"]
         assert report["all_4cycles_facial"] is None
         assert report["non_facial_witness"] is None
+        assert report["surface"] == {"orientable": True, "genus": 0,
+                                     "euler": 2}
+
+    def test_one_vertex_is_a_sphere(self, capsys, tmp_path):
+        # K1 has no darts: one face, of empty boundary, on the sphere
+        p = tmp_path / "k1.emb.json"
+        p.write_text(ONE_VERTEX)
+        code, report = run_json(capsys, ["check", str(p)])
+        assert code == EXIT_OK
+        assert report["connected"] and not report["is_quadrangulation"]
+        assert report["bad_face"] == []
         assert report["surface"] == {"orientable": True, "genus": 0,
                                      "euler": 2}
 
@@ -182,6 +197,16 @@ class TestVerify:
         code, report = run_json(capsys, ["verify", str(p)])
         assert code == EXIT_VERDICT
         assert all(v["status"] == "skipped" for v in report.values())
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]],
+                             ids=["plain", "oracle"])
+    def test_one_vertex_skips_everything(self, capsys, tmp_path, oracle):
+        p = tmp_path / "k1.emb.json"
+        p.write_text(ONE_VERTEX)
+        code, report = run_json(capsys, ["verify", str(p)] + oracle)
+        assert code == EXIT_VERDICT
+        assert all(v["status"] == "skipped" and v["detail"]
+                   for v in report.values())
 
     def test_non_quadrangulation_reports_skips(self, capsys, tmp_path):
         p = tmp_path / "path.emb.json"

@@ -7,18 +7,23 @@ the cycle's edges.  The reference builds the cut surface: `cut_along_cycle`
 include a bipartite one (no odd cycle), an orientable one with a
 non-facial 4-cycle, and a twisted Klein grid; seeded random rotation
 systems of small graphs add faces that meet themselves.
-`simple_cycles` runs on an explicit stack, prunes the subtrees that
-cannot close a cycle and emits its paths as they are; the plain recursive
-search it replaced is kept below as the reference for the cycles and
-their order, on every shipped fixture and two seeded draws of each.
-`oddness_oracle` streams those cycles and stops at its first witness; it
-is compared with the first witness in the reference's list at caps just
-before, at and beyond it, and its memory peak shows that it keeps no
-list.  Seeds are fixed.
+`labelled_cycles` runs on an explicit stack, prunes the subtrees that
+cannot close a cycle and emits its paths as they are, each with the XOR
+of an edge label carried down the path; `simple_cycles` reads it without
+labels.  The plain recursive search it replaced is kept below as the
+reference for the cycles and their order, on every shipped fixture, two
+seeded draws of each and seeded rotation systems of four small graphs;
+on seeded random graphs the carried XOR is checked against seeded edge
+labels.  `oddness_oracle` streams those cycles with the dual edge masks
+as the label, decides each from its XOR and stops at its first witness;
+it is compared with the first witness in the reference's list at caps
+just before, at and beyond it, and its memory peak shows that it keeps
+no list.  Seeds are fixed.
 """
 
 import functools
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -33,7 +38,8 @@ from loquad.generators import (k4_projective, klein_grid, shipped_fixtures,
                                torus_grid)
 from loquad.graphs import (DEFAULT_ORACLE_CYCLE_CAP, Graph, GraphError,
                            canonical_cycle, enumerate_simple_cycles,
-                           is_bipartite, norm_edge, simple_cycles)
+                           is_bipartite, labelled_cycles, norm_edge,
+                           simple_cycles)
 from loquad.invariants import invariant_report, verify_theorems
 
 
@@ -184,10 +190,8 @@ ROTATION_SEEDS = range(40)
 
 
 def test_cut_matches_reference_on_random_rotation_systems():
-    graphs = {"K4": complete_graph(4), "K5": complete_graph(5),
-              "K33": complete_bipartite(3, 3), "Petersen": petersen()}
     queries = self_meeting = 0
-    for name, g in graphs.items():
+    for name, g in SMALL_GRAPHS.items():
         cycles, overflow = enumerate_simple_cycles(g, 100000)
         assert not overflow
         for seed in ROTATION_SEEDS:
@@ -286,6 +290,10 @@ def petersen():
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+SMALL_GRAPHS = {"K4": complete_graph(4), "K5": complete_graph(5),
+                "K33": complete_bipartite(3, 3), "Petersen": petersen()}
+
+
 def random_graph(seed):
     rng = random.Random(seed)
     n = rng.randint(4, 9)
@@ -332,18 +340,25 @@ def test_enumeration_matches_recursive_reference(g):
         assert len(cycles) == min(max(cap, 0), total)
 
 
-# every shipped fixture as shipped and in two seeded draws
-STREAM_CASES = [(f.name, seed) for f in shipped_fixtures()
-                for seed in (None, 21, 22)]
+# every shipped fixture as shipped and in two seeded draws, and two
+# seeded rotation systems of each small graph: faces of every length and
+# faces that meet themselves
+STREAM_CASES = ([(f.name, seed) for f in shipped_fixtures()
+                 for seed in (None, 21, 22)]
+                + [(name, seed) for name in SMALL_GRAPHS for seed in (3, 4)])
 
 
 @functools.lru_cache(maxsize=None)
 def stream_case(name, seed):
-    """A shipped fixture (seed None) or a seeded draw of it, and the first
-    `oracle_cap` + 1 cycles of the recursive reference."""
-    e = fixture(name)
-    if seed is not None:
-        e, _ = drawn(e, seed)
+    """A shipped fixture (seed None), a seeded draw of it or a seeded
+    rotation system of a small graph, and the first `oracle_cap` + 1
+    cycles of the recursive reference."""
+    if name in SMALL_GRAPHS:
+        e = random_rotation_system(SMALL_GRAPHS[name], seed)
+    else:
+        e = fixture(name)
+        if seed is not None:
+            e, _ = drawn(e, seed)
     cycles, _ = recursive_enumerate(e.graph, oracle_cap(e) + 1)
     return e, cycles
 
@@ -364,9 +379,23 @@ def test_enumeration_matches_reference_on_fixtures(name, seed):
 def test_enumeration_matches_reference_on_random_graphs():
     for seed in range(30):
         g = random_graph(seed)
-        total = len(assert_pinned(g, 100000)[0])
+        cycles = assert_pinned(g, 100000)[0]
+        total = len(cycles)
         if total > 2:
             assert_pinned(g, total // 2)
+        # a seeded label per edge: the labels leave the order alone, and
+        # the carried XOR is the XOR of the labels around each cycle
+        rng = random.Random(100 + seed)
+        label = {}
+        for u, v in g.edges:
+            label[u, v] = label[v, u] = rng.getrandbits(20)
+        got = []
+        for path, x in labelled_cycles(g, label):
+            got.append(tuple(path))
+            assert x == functools.reduce(
+                operator.xor, (label[path[i - 1], path[i]]
+                               for i in range(len(path)))), (seed, path)
+        assert got == cycles
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +409,8 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     built, drawn_cycles, cut, checked, traced, duals = [], [], [], [], [], []
     labelled, labelled_at_table, coherences = [], [], []
     post_init = EmbeddedGraph.__post_init__
-    cycles_of = embeddings.simple_cycles
-    cut_orientable = embeddings._cut_orientable
+    cycles_of = embeddings.labelled_cycles
+    cut_orientable = embeddings.cut_surface_orientable
     check_cut_cycle = embeddings._check_cut_cycle
     face_walks = embeddings._face_state_walks
     dual_table = embeddings._dual_table
@@ -392,10 +421,10 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         built.append(self)
         post_init(self)
 
-    def counting_cycles(g):
-        for c in cycles_of(g):
-            drawn_cycles.append(c)
-            yield c
+    def counting_cycles(g, label=None):
+        for path, flipped in cycles_of(g, label):
+            drawn_cycles.append(tuple(path))
+            yield path, flipped
 
     def counting_cut(e, cycle):
         cut.append(cycle)
@@ -424,8 +453,8 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         return forest(n, signed_neighbors)
 
     monkeypatch.setattr(EmbeddedGraph, "__post_init__", counting_post_init)
-    monkeypatch.setattr(embeddings, "simple_cycles", counting_cycles)
-    monkeypatch.setattr(embeddings, "_cut_orientable", counting_cut)
+    monkeypatch.setattr(embeddings, "labelled_cycles", counting_cycles)
+    monkeypatch.setattr(embeddings, "cut_surface_orientable", counting_cut)
     monkeypatch.setattr(embeddings, "_check_cut_cycle", counting_check)
     monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
     monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
@@ -434,15 +463,15 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     verdict, witness, complete = oddness_oracle(odd_quad, 200000)
     assert not built
     assert verdict is True and complete
-    # the search stops at its witness: of the 7,331 cycles it examines the
+    # the search stops at its witness: of the 7,331 cycles it draws the
     # witness's position + 1, the first odd cycle whose cut orientizes
     every, overflow = enumerate_simple_cycles(odd_quad.graph, 200000)
     assert len(every) == 7331 and not overflow
     assert drawn_cycles == every[:every.index(witness.cycle) + 1]
-    assert cut == [c for c in drawn_cycles if len(c) % 2]
-    assert witness.cycle == cut[-1] == (0, 1, 2)
-    # the enumerated cycles are simple: no cut re-checks them
-    assert not checked
+    assert witness.cycle == drawn_cycles[-1] == (0, 1, 2)
+    # each cycle is decided from the XOR its search carries: no cut
+    # function runs, and no cycle is re-checked
+    assert not cut and not checked
     # the cuts read one face trace and one dual table of the embedding,
     # built over one coherence labelling
     assert traced == [odd_quad] and duals == [odd_quad]
@@ -452,17 +481,14 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert labelled == [len(odd_quad._walks), odd_quad.graph.n]
     assert labelled_at_table == [2]
 
-    # an even quadrangulation: every odd cycle up to the cap is cut, and
+    # an even quadrangulation: every cycle up to the cap is decided, and
     # one more cycle is drawn to learn that the cap stopped the search
     drawn_cycles.clear()
-    cut.clear()
     verdict, witness, complete = oddness_oracle(even_quad, 3000)
     assert (verdict, witness, complete) == (None, None, False)
     assert len(drawn_cycles) == 3001
-    assert cut == [c for c in drawn_cycles[:3000] if len(c) % 2]
-    assert not built and not checked
-    # still one trace and one table per embedding, over 1,527 cuts
-    assert len(cut) == 1527
+    assert not built and not cut and not checked
+    # still one trace and one table per embedding
     assert traced == duals == coherences == [odd_quad, even_quad]
     assert labelled == [len(odd_quad._walks), odd_quad.graph.n,
                         len(even_quad._walks), even_quad.graph.n]
