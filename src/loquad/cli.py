@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success or all verdicts pass, 1 a verdict failed, 2 input or
-hypothesis error, or a failed internal cross-check; every error ends in a
-one-line message, not a traceback.  All output is deterministic.
+hypothesis error, a failed internal cross-check or running out of memory;
+every error ends in a one-line message, not a traceback.  All output is
+deterministic.
 """
 
 import argparse
@@ -31,16 +32,13 @@ def _surface_dict(sc) -> dict:
             "euler": sc.euler}
 
 
-def _set_label(label, names) -> str:
-    return "{" + ",".join(names[v] for v in label) + "}"
-
-
 def cmd_lovasz(args) -> int:
     g = load_graph(args.input)
     L = lovasz_complex(g)
     report = {
         "version": 1,
-        "vertices": [_set_label(lab, g.names) for lab in L.labels],
+        "vertices": ["{" + ",".join(g.names[v] for v in lab) + "}"
+                     for lab in L.labels],
         "kinds": [k.value for k in L.kinds],
         "involution": sorted([i, L.nu[i]] for i in range(len(L.labels))
                              if i < L.nu[i]),
@@ -93,10 +91,8 @@ def cmd_classify(args) -> int:
         report["branch"] = branch
         report["consistent"] = consistent
     else:
-        report["lo_class"] = None
-        report["base_class"] = None
-        report["branch"] = None
-        report["consistent"] = None
+        report.update(dict.fromkeys(
+            ("lo_class", "base_class", "branch", "consistent")))
     write_text(args.out, dump_report(report))
     return EXIT_OK
 
@@ -244,6 +240,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # RuntimeError also covers CapExceeded, InvariantViolation and
         # RecursionError; any other Exception reaches the caller
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .graphs import Graph, common_neighbors, common_neighbors_mask, \
     mask_bits
@@ -136,11 +136,6 @@ def _link_walk(adj: dict[int, list[int]]) -> Optional[tuple[int, ...]]:
     return tuple(out) if len(out) == len(adj) else None
 
 
-def _rot_step(rot: Sequence[int], u: int, direction: int) -> int:
-    """The neighbor after u in the cyclic order rot (before it for -1)."""
-    return rot[(rot.index(u) + direction) % len(rot)]
-
-
 def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     """The distinct faces of a family that lie in no other face of it.
 
@@ -195,9 +190,6 @@ class LovaszComplex:
     @property
     def labels(self) -> tuple[Label, ...]:
         return self.base.labels
-
-    def vertex_of(self, label: Label) -> int:
-        return self.base.labels.index(label)
 
 
 def closed_sets(g: Graph) -> list[Label]:
@@ -254,11 +246,10 @@ def _assemble_lovasz(g: Graph, labels: list[Label],
         if partner not in index:
             raise ComplexError(f"CN image {partner} of {lab} is not a vertex")
         nu.append(index[partner])
-    nu_t = tuple(nu)
-    for i, j in enumerate(nu_t):
-        if nu_t[j] != i:
+    for i, j in enumerate(nu):
+        if nu[j] != i:
             raise ComplexError("CN involution is not an involution")
-    return LovaszComplex(g, base, kinds, nu_t)
+    return LovaszComplex(g, base, kinds, tuple(nu))
 
 
 def lovasz_complex(g: Graph) -> LovaszComplex:
@@ -272,10 +263,7 @@ def lovasz_complex(g: Graph) -> LovaszComplex:
         for j in order:
             if len(sets[i]) < len(sets[j]) and sets[i] < sets[j]:
                 succ[i].append(j)
-    has_pred = [False] * len(labels)
-    for i in range(len(labels)):
-        for j in succ[i]:
-            has_pred[j] = True
+    has_pred = set(itertools.chain.from_iterable(succ))
     chains: list[frozenset[int]] = []
 
     def grow(chain: list[int]) -> None:
@@ -288,7 +276,7 @@ def lovasz_complex(g: Graph) -> LovaszComplex:
             grow(chain + [j])
 
     for i in range(len(labels)):
-        if not has_pred[i]:
+        if i not in has_pred:
             grow([i])
     return _assemble_lovasz(g, labels, chains)
 

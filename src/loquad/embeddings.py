@@ -5,34 +5,39 @@ edge; negative edges reverse local orientation, which is the standard
 encoding of embeddings in possibly non-orientable surfaces.  This module
 covers face tracing, quadrangulation checks, the sign-balance tests, the
 cut-along-cycle oracle, embedded isomorphism, and the constructions
-relating embeddings to the Lovász complex.
+relating embeddings to the Lovász complex.  Its analyses read one integer
+numbering of the darts (`Darts`); a face walk state is 2 * dart + side,
+the dart u->v with local orientation +1 (side 0) or -1 at v.
 
 Orientability and the even one-sided test are balance tests on the
 vertex signs, each one labelling by `graphs.signed_forest`.  Oddness and
-the oracle's cuts read the face coherence signs instead: reading a face
-walk state (u, v, f) as the dart u->v with local orientation f at v, an
-edge whose two face sides are (ua, va, ga) and (ub, vb, gb) gets ga * gb
-when they traverse it in the same direction and ga * gb * sign(u, v) when
-in opposite directions.  Labelling the faces by these signs along a
-spanning forest of the dual graph (`_face_coherence`) leaves the set R
-of edges whose two sides do not cancel.  R is a cycle dual to the
-one-sidedness class w1: it is empty iff the surface is orientable, and a
-quadrangulation is odd iff |R| is odd.
-A cut reads each edge's mask over the fundamental dual cycles and the
-class of the signs over them (`EmbeddedGraph._dual`); the oracle carries
-the XOR of the masks down its cycle search, in O(1) per cycle.  The
-references, `tests/cut_reference.py` and `tests/oddness_reference.py`,
-build the cut embedding and the cup product on a star triangulation.
+the oracle's cuts read the face coherence signs instead: an edge whose
+face sides have orientations ga and gb gets ga * gb when they traverse
+it in the same direction and ga * gb * sign(u, v) when in opposite ones.
+Labelling the faces by these signs along a spanning forest of the dual
+graph (`_face_coherence`) leaves the set R of edges whose two sides do
+not cancel.  R is a cycle dual to the one-sidedness class w1: it is
+empty iff the surface is orientable, and a quadrangulation is odd iff
+|R| is odd.  A cut reads each edge's mask over the fundamental dual
+cycles and the class of the signs over them (`EmbeddedGraph._dual`); the
+oracle carries the XOR of the masks down its cycle search, in O(1) per
+cycle.  The references, `tests/cut_reference.py`,
+`tests/oddness_reference.py` and `tests/face_reference.py`, build the cut
+embedding, the cup product on a star triangulation and the face walks of
+(u, v, f) tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections import Counter, namedtuple
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, combinations, repeat
 from typing import Iterable, Optional, Sequence
 
 from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
-                        _assemble_lovasz, _rot_step, quotient_complex)
+                        _assemble_lovasz, quotient_complex)
 from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, Edge, Graph, GraphError,
                      InvariantViolation, canonical_cycle, four_cycles,
                      is_bipartite, is_connected, labelled_cycles, norm_edge,
@@ -45,16 +50,19 @@ class EmbeddedGraph:
     """Graph with a cyclic neighbor order per vertex and a sign per edge.
 
     The analyses of the embedding are built once, on first use, and kept
-    with it: the face walks, their coherence signs and dual table, the
-    quadrangulation and facial verdicts, the outcome of the face-rule
-    hypotheses, the face-rule complex, orientability and the oddness
-    functional.  The public functions below read them.  So neither an
-    embedding nor its `signs` dict may be changed after construction.
+    with it: the dart numbering, the face walks, their coherence signs and
+    dual table, the quadrangulation and facial verdicts, the face-rule
+    hypotheses and complex, orientability and the oddness functional.
+    The public functions below read them.  So neither an embedding nor
+    its `signs` dict may be changed after construction.
     """
 
     graph: Graph
     rotations: tuple[tuple[int, ...], ...]
     signs: dict[Edge, int]
+    # `_darts`, kept in a declared field, as `Graph._forest` is
+    _dart_table: Optional[Darts] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.graph
@@ -74,8 +82,14 @@ class EmbeddedGraph:
     def sign(self, u: int, v: int) -> int:
         return self.signs[norm_edge(u, v)]
 
+    @property
+    def _darts(self) -> Darts:
+        if self._dart_table is None:
+            object.__setattr__(self, "_dart_table", _number_darts(self))
+        return self._dart_table
+
     @cached_property
-    def _walks(self) -> list[list[State]]:
+    def _walks(self) -> list[list[int]]:
         return _face_state_walks(self)
 
     @cached_property
@@ -88,10 +102,11 @@ class EmbeddedGraph:
 
     @cached_property
     def _quad(self) -> QuadVerdict:
+        tail = self._darts.tail
         for walk in self._walks:
-            boundary = tuple(u for u, _, _ in walk)
+            boundary = [tail[s >> 1] for s in walk]
             if len(boundary) != 4 or len(set(boundary)) != 4:
-                return QuadVerdict(False, boundary)
+                return QuadVerdict(False, tuple(boundary))
         return QuadVerdict(True)
 
     @cached_property
@@ -101,12 +116,19 @@ class EmbeddedGraph:
         if not quad.ok:
             raise HypothesisError("embedding is a quadrangulation",
                                   f"face {quad.bad_face}")
-        facial = {canonical_cycle([u for u, _, _ in walk])
-                  for walk in self._walks}
-        for c in four_cycles(self.graph):
-            if c not in facial:
-                return FacialVerdict(False, c)
-        return FacialVerdict(True)
+        # a 4-cycle is its pair of diagonals, and wedge pairs a-b-c, a-d-c
+        # count it twice per diagonal {a, c}; the sorted scan names a witness
+        n, tail = self.graph.n, self._darts.tail
+        boundaries = [[tail[s >> 1] for s in walk] for walk in self._walks]
+        facial = {frozenset((a * n + c, c * n + a, b * n + d, d * n + b))
+                  for a, b, c, d in boundaries}
+        wedges = Counter(chain.from_iterable(
+            combinations(sorted(nb), 2) for nb in self.graph.adj))
+        if 4 * len(facial) == sum(k * (k - 1) for k in wedges.values()):
+            return FacialVerdict(True)
+        named = set(map(canonical_cycle, boundaries))
+        return FacialVerdict(False, next(
+            c for c in four_cycles(self.graph) if c not in named))
 
     @cached_property
     def _hypothesis_failure(self) -> Optional[tuple[str, str]]:
@@ -135,9 +157,8 @@ class EmbeddedGraph:
             a, b, c, d = f.boundary
             for (x, z), (y, w) in (((a, c), (b, d)), ((b, d), (a, c))):
                 diag: Label = tuple(sorted((x, z)))
-                for s in (x, z):
-                    for t in (y, w):
-                        triangles.add(frozenset(((s,), diag, nb[t])))
+                triangles.update(frozenset(((s,), diag, nb[t]))
+                                 for s in (x, z) for t in (y, w))
         labels = sorted({lab for t in triangles for lab in t})
         index = {lab: i for i, lab in enumerate(labels)}
         faces = [frozenset(index[lab] for lab in t) for t in triangles]
@@ -149,8 +170,9 @@ class EmbeddedGraph:
 
     @cached_property
     def _odd(self) -> bool:
+        head = self._darts.head
         for walk in self._walks:
-            corners = [v for _, v, _ in walk]
+            corners = [head[s >> 1] for s in walk]
             if len(set(corners)) != len(corners):
                 raise HypothesisError("faces are simple cycles",
                                       f"face walk {tuple(corners)}")
@@ -202,62 +224,72 @@ class FaceWalk:
         return canonical_cycle(self.boundary)
 
 
-State = tuple[int, int, int]    # (from, to, side flag)
 Coherence = tuple[list[tuple[int, int, int]], list[bool],
                   list[Optional[tuple[int, int]]], list[int]]
 DualTable = tuple[dict[tuple[int, int], int], int]
 
 
-def _next_state(e: EmbeddedGraph, s: State) -> State:
-    u, v, f = s
-    w = _rot_step(e.rotations[v], u, f)
-    return (v, w, f * e.sign(v, w))
+# Int arrays over the darts: d runs from tail[d] to head[d], the darts at
+# u are first[u] to first[u + 1] - 1 in rotation order, and rev, succ,
+# pred, sgn and eid give d's reverse, the darts after and before it at
+# tail[d], and its edge's sign and index in `signs`.  A state s steps
+# along its face to step[s], and mirror[s] runs the face backwards.
+Darts = namedtuple("Darts", "first tail head rev succ pred sgn eid step "
+                            "mirror")
 
 
-def _mirror_state(e: EmbeddedGraph, s: State) -> State:
-    u, v, f = s
-    return (v, u, -f * e.sign(u, v))
+def _number_darts(e: EmbeddedGraph) -> Darts:
+    n, rots = e.graph.n, e.rotations
+    first = [0, *accumulate(map(len, rots))]
+    tail = list(chain.from_iterable(map(repeat, range(n), map(len, rots))))
+    head = list(chain.from_iterable(rots))
+    m = len(head)
+    succ, pred = list(range(1, m + 1)), list(range(-1, m - 1))
+    for a, b in zip(first, first[1:]):
+        if a < b:
+            succ[b - 1], pred[a] = a, b - 1
+    at = dict(zip([t * n + h for t, h in zip(tail, head)], range(m)))
+    rev, sgn, eid = [0] * m, [0] * m, [0] * m
+    for i, ((u, v), s) in enumerate(e.signs.items()):
+        d, r = at[u * n + v], at[v * n + u]
+        rev[d], rev[r] = r, d
+        sgn[d] = sgn[r] = s
+        eid[d] = eid[r] = i
+    # u->v steps to v->w, w after (on side 1 before) u at v, times sign(vw)
+    plus = [2 * d + (s < 0) for d, s in enumerate(sgn)]
+    minus = [p ^ 1 for p in plus]
+    step, mirror = [0] * 2 * m, [0] * 2 * m
+    step[0::2] = map(plus.__getitem__, map(succ.__getitem__, rev))
+    step[1::2] = map(minus.__getitem__, map(pred.__getitem__, rev))
+    mirror[0::2] = map(minus.__getitem__, rev)
+    mirror[1::2] = map(plus.__getitem__, rev)
+    return Darts(*(array("i", t) for t in (first, tail, head, rev, succ, pred,
+                                           sgn, eid, step, mirror)))
 
 
-def _flip_state(e: EmbeddedGraph, s: State) -> State:
-    return (s[0], s[1], -s[2])
-
-
-def _face_state_walks(e: EmbeddedGraph) -> list[list[State]]:
+def _face_state_walks(e: EmbeddedGraph) -> list[list[int]]:
     """One state walk per face; every dart is used by exactly one face.
 
-    Tracing runs over dart-side states; each face appears as a mirror pair
-    of state orbits, reported once.
+    Each face is a mirror pair of step orbits: the orbit of the least
+    state not yet met is walked, and then its mirror states are marked.
     """
-    states = [(u, v, f)
-              for u in range(e.graph.n)
-              for v in e.rotations[u]
-              for f in (1, -1)]
-    orbit_id: dict[State, int] = {}
-    orbits: list[list[State]] = []
-    for s0 in states:
-        if s0 in orbit_id:
-            continue
-        orbit = []
-        s = s0
-        while True:
-            orbit_id[s] = len(orbits)
-            orbit.append(s)
-            s = _next_state(e, s)
-            if s == s0:
-                break
-        orbits.append(orbit)
+    step, mirror = e._darts.step, e._darts.mirror
+    seen = [False] * len(step)
     walks = []
-    used = set()
-    for i, orbit in enumerate(orbits):
-        if i in used:
+    for s0, met in enumerate(seen):
+        if met:
             continue
-        j = orbit_id[_mirror_state(e, orbit[0])]
-        # a face is a disc, so its two traversals are two different orbits
-        if j == i:
+        s, walk = s0, []
+        while not seen[s]:
+            seen[s] = True
+            walk.append(s)
+            s = step[s]
+        # a face is a disc, so its two traversals are different orbits
+        if seen[mirror[s0]]:
             raise InvariantViolation("self-mirrored face orbit")
-        used.add(j)
-        walks.append(orbit)
+        for s in walk:
+            seen[mirror[s]] = True
+        walks.append(walk)
     # a vertex without darts is a sphere with one face, of empty boundary
     walks += [[] for rot in e.rotations if not rot]
     if sum(len(w) for w in walks) != 2 * e.graph.num_edges:
@@ -267,45 +299,50 @@ def _face_state_walks(e: EmbeddedGraph) -> list[list[State]]:
 
 def trace_faces(e: EmbeddedGraph) -> list[FaceWalk]:
     """All face boundary walks of the embedding."""
-    return [FaceWalk(tuple((u, v) for u, v, _ in walk)) for walk in e._walks]
+    tail, head = e._darts.tail, e._darts.head
+    return [FaceWalk(tuple((tail[s >> 1], head[s >> 1]) for s in walk))
+            for walk in e._walks]
 
 
 def _face_coherence(e: EmbeddedGraph) -> Coherence:
     """Orient the faces along a depth-first spanning forest of the dual
-    graph: a vertex per face, an edge per edge joining its two face sides
-    with its coherence sign.  Returns per edge, in the order of `signs`,
-    its two faces and sign, and whether it is in R (its sides do not
-    cancel); per face the forest edge to its parent; and the faces, each
-    after its parent, as `signed_forest` labels them.  Checked against the
-    face walks, the disc around every vertex and the vertex-sign verdict
-    `_orientable`.
+    graph, whose edges join the two face sides of each edge with its
+    coherence sign.  Returns per edge id its two faces and sign, and
+    whether it is in R; per face the forest edge to its parent; and the
+    faces in `signed_forest` order.  Checked against the face walks, the
+    disc around every vertex and the vertex-sign verdict `_orientable`.
     """
-    # per edge its face sides, flat: face, state, face, state
-    found: dict[Edge, list] = {ed: [] for ed in e.signs}
+    dt = e._darts
+    eid, sgn, tail, head = dt.eid, dt.sgn, dt.tail, dt.head
+    # per edge id its face sides, flat: face, state, face, state
+    found: list[list[int]] = [[] for _ in e.signs]
     for fi, walk in enumerate(e._walks):
         for s in walk:
-            found[norm_edge(s[0], s[1])] += fi, s
+            found[eid[s >> 1]] += fi, s
     around = [1] * e.graph.n
     sides: list[tuple[int, int, int]] = []      # per edge id: fa, fb, sign
     dual: list[list[tuple[int, int, int]]] = [[] for _ in e._walks]
-    for i, (ed, pair) in enumerate(found.items()):
+    for i, pair in enumerate(found):
         if len(pair) != 4:
             raise InvariantViolation(
-                f"edge {ed} has {len(pair) // 2} face sides")
-        fa, (ua, _, ga), fb, (ub, _, gb) = pair
-        c = ga * gb if ua == ub else ga * gb * e.signs[ed]
-        around[ed[0]] *= c
-        around[ed[1]] *= c
+                f"edge {list(e.signs)[i]} has {len(pair) // 2} face sides")
+        fa, sa, fb, sb = pair
+        d = sa >> 1
+        # the sides' orientations differ when their side bits do
+        c = -1 if (sa ^ sb) & 1 else 1
+        if sb >> 1 != d:
+            c *= sgn[d]
+        around[tail[d]] *= c
+        around[head[d]] *= c
         sides.append((fa, fb, c))
         dual[fa].append((i, fb, c))
         dual[fb].append((i, fa, c))
     # the faces at a vertex form a disc, so they orient coherently around
     # it; the cut rule of `cut_surface_orientable` and R rest on this
-    for v, c in enumerate(around):
-        if c != 1:
-            raise InvariantViolation(
-                f"coherence signs around vertex {e.graph.names[v]} "
-                f"multiply to -1")
+    if -1 in around:
+        raise InvariantViolation(
+            f"coherence signs around vertex "
+            f"{e.graph.names[around.index(-1)]} multiply to -1")
     eps, up, order, balanced = signed_forest(len(dual), dual.__getitem__)
     reversal = [eps[fa] * eps[fb] * c < 0 for fa, fb, c in sides]
     if balanced != e._orientable:
@@ -323,10 +360,7 @@ def _dual_table(e: EmbeddedGraph) -> DualTable:
     # non-forest edges at it; a forest edge, never reversed, lies on
     # exactly the cycles of the edges with one end below it
     forest = {u[0] for u in up if u is not None}
-    bits = [0] * len(sides)
-    below = [0] * len(up)
-    cls = 0
-    bit = 1
+    bits, below, cls, bit = [0] * len(sides), [0] * len(up), 0, 1
     for i, (fa, fb, _) in enumerate(sides):
         if i in forest:
             continue
@@ -397,9 +431,10 @@ def is_orientable_embedding(e: EmbeddedGraph) -> bool:
 
 def _balanced(e: EmbeddedGraph, flip: int) -> bool:
     """Whether the edge signs, each times `flip`, are balanced."""
-    g = e.graph
-    return signed_forest(g.n, lambda u: (
-        (None, w, flip * e.sign(u, w)) for w in g.adj[u])).balanced
+    first, head, sgn = e._darts.first, e._darts.head, e._darts.sgn
+    signed = [(None, w, flip * s) for w, s in zip(head, sgn)]
+    return signed_forest(e.graph.n, lambda u: signed[first[u]:first[u + 1]]
+                         ).balanced
 
 
 def has_even_one_sided_class(e: EmbeddedGraph) -> bool:
@@ -536,38 +571,40 @@ def embedded_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
         return False
     if not ga.num_edges:
         return True
-    root = (0, a.rotations[0][0], 1)
-    images = sorted(((u, v, f) for u in range(gb.n)
-                     if gb.degree(u) == ga.degree(0)
-                     for v in b.rotations[u] for f in (1, -1)),
-                    key=lambda t: t[:2] != root[:2])
-    return any(_state_map_fits(a, b, root, t) for t in images)
+    # the root is state 0: vertex 0's first dart, on side 0
+    db = b._darts
+    images = [s for s in range(4 * gb.num_edges)
+              if gb.degree(db.tail[s >> 1]) == ga.degree(0)]
+    images.sort(key=lambda s: (db.tail[s >> 1], db.head[s >> 1])
+                != (0, a.rotations[0][0]))
+    return any(_state_map_fits(a, b, t) for t in images)
 
 
-def _state_map_fits(a: EmbeddedGraph, b: EmbeddedGraph, root: State,
-                    image: State) -> bool:
-    """Whether root -> image extends to an isomorphism of a onto b."""
+def _state_map_fits(a: EmbeddedGraph, b: EmbeddedGraph, image: int) -> bool:
+    """Whether state 0 -> image extends to an isomorphism of a onto b."""
+    da, db = a._darts, b._darts
     vertex, taken = [-1] * a.graph.n, [False] * b.graph.n
-    image_of = {root: image}
-    stack = [(root, image)]
+    image_of = [image] + [-1] * (len(da.step) - 1)
+    stack = [(0, image)]
     while stack:
         s, t = stack.pop()
-        for x, y in ((s[0], t[0]), (s[1], t[1])):
+        for x, y in ((da.tail[s >> 1], db.tail[t >> 1]),
+                     (da.head[s >> 1], db.head[t >> 1])):
             if vertex[x] < 0 and not taken[y]:
                 vertex[x], taken[y] = y, True
             elif vertex[x] != y:
                 return False
-        for move in (_next_state, _mirror_state, _flip_state):
-            s2, t2 = move(a, s), move(b, t)
-            known = image_of.get(s2)
-            if known is None:
+        for s2, t2 in ((da.step[s], db.step[t]),
+                       (da.mirror[s], db.mirror[t]), (s ^ 1, t ^ 1)):
+            known = image_of[s2]
+            if known < 0:
                 image_of[s2] = t2
                 stack.append((s2, t2))
             elif known != t2:
                 return False
     # an injective vertex map that commutes with the flip is injective on
     # states, so covering as many states as b has makes it onto
-    return len(image_of) == 4 * a.graph.num_edges
+    return -1 not in image_of
 
 
 # ---------------------------------------------------------------------------

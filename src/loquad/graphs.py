@@ -74,9 +74,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     @property
     def _parity(self) -> SignedForest:
         """One labelling with every edge sign -1: its roots count the
@@ -85,18 +82,6 @@ class Graph:
             object.__setattr__(self, "_forest", signed_forest(
                 self.n, lambda u: ((None, w, -1) for w in self.adj[u])))
         return self._forest
-
-    def relabeled(self, perm: Sequence[int]) -> "Graph":
-        """Image under the vertex bijection v -> perm[v]."""
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        names = [""] * self.n
-        for v in range(self.n):
-            names[perm[v]] = self.names[v]
-        return Graph.from_edges(self.n, edges, names)
-
-
-def _to_mask(vertices: Iterable[int]) -> int:
-    return sum(1 << v for v in set(vertices))
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -109,16 +94,12 @@ def mask_bits(mask: int) -> list[int]:
     return out
 
 
-def _from_mask(mask: int) -> frozenset[int]:
-    return frozenset(mask_bits(mask))
-
-
 def common_neighbors_mask(g: Graph, mask: int) -> int:
     """Bitmask kernel: vertices adjacent to every vertex of `mask`.
 
     The empty set has every vertex as a (vacuous) common neighbor.
     """
-    result = g.full_mask()
+    result = (1 << g.n) - 1
     while mask:
         low = mask & -mask
         result &= g.masks[low.bit_length() - 1]
@@ -130,7 +111,8 @@ def common_neighbors_mask(g: Graph, mask: int) -> int:
 
 def common_neighbors(g: Graph, a: Iterable[int]) -> frozenset[int]:
     """Vertices adjacent to every vertex of `a` (all of V for empty `a`)."""
-    return _from_mask(common_neighbors_mask(g, _to_mask(a)))
+    mask = sum(1 << v for v in set(a))
+    return frozenset(mask_bits(common_neighbors_mask(g, mask)))
 
 
 class SignedForest(NamedTuple):

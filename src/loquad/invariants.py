@@ -190,8 +190,9 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     # diagonal corner q[k] is the least; p1, p2, p3 follow it cyclically
     sign = 1 if rule == "min" else -1
     gray = r = 0
+    tail = e._darts.tail
     for walk in e._walks:
-        q = [sign * u for u, _, _ in walk]
+        q = [sign * tail[s >> 1] for s in walk]
         k = q.index(min(q))
         p1, p2, p3 = q[k - 3], q[k - 2], q[k - 1]
         gray += (p1 < p2) + (p3 < p2)
@@ -330,9 +331,7 @@ def verify_theorems(e: EmbeddedGraph, run_oracle: bool = False,
         hypotheses_ok = False
         hypothesis_reason = str(exc)
 
-    L: Optional[LovaszComplex] = None
-    if hypotheses_ok:
-        L = lovasz_complex(g)
+    L = lovasz_complex(g) if hypotheses_ok else None
 
     name = "vertex_kinds"
     with _guarded(out, name):

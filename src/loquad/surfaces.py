@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import (ComplexError, HypothesisError, SimplicialComplex,
-                        _link_graphs, _rot_step)
+                        _link_graphs)
 from .graphs import signed_forest
 
 
@@ -42,7 +42,7 @@ class SurfaceClass:
 
 @dataclass(frozen=True)
 class SurfaceDefect:
-    kind: str            # not-pure | edge-degree | bad-link | disconnected
+    kind: str    # empty | not-pure | edge-degree | bad-link | disconnected
     detail: str
 
 
@@ -63,7 +63,9 @@ def _link_sign(links: Sequence[Sequence[int]], u: int, v: int) -> int:
     """The link-rotation sign of the edge uv: +1 iff the links of u and v,
     read in their stored directions, step across uv into different
     triangles, so that the two orientations they give agree."""
-    return 1 if _rot_step(links[u], v, 1) != _rot_step(links[v], u, 1) else -1
+    a, b = links[u], links[v]
+    same = a[(a.index(v) + 1) % len(a)] == b[(b.index(u) + 1) % len(b)]
+    return -1 if same else 1
 
 
 def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
@@ -71,6 +73,8 @@ def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
     their link neighbours, signed by `_link_sign`, counts the components
     and decides orientability: balanced signs orient the links
     coherently."""
+    if not K.num_vertices:
+        return SurfaceVerdict(False, SurfaceDefect("empty", "no vertices"))
     for f in K.facets:
         if len(f) != 3:
             return SurfaceVerdict(False, SurfaceDefect(
@@ -101,15 +105,6 @@ def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
     edges = sum(map(len, links)) // 2
     return SurfaceVerdict(True, None, SurfaceClass.from_euler(
         forest.balanced, K.num_vertices - edges + len(K.facets)))
-
-
-def euler_characteristic(K: SimplicialComplex) -> int:
-    """V - E + F for complexes of dimension at most 2."""
-    if K.dimension() > 2:
-        raise ComplexError(
-            f"euler characteristic limited to dimension <= 2, got "
-            f"{K.dimension()}")
-    return K.num_vertices - len(K.edge_set()) + len(K.triangles())
 
 
 def orientability(K: SimplicialComplex) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from loquad.embeddings import EmbeddedGraph, switch_vertex
 from loquad.generators import (figure1_graph, k4_projective, k23_sphere,
                                klein_grid, shipped_fixtures, torus_grid)
-from loquad.graphs import norm_edge
+from loquad.graphs import Graph, norm_edge
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +48,15 @@ def fixtures():
     return shipped_fixtures()
 
 
+def relabeled(g, perm):
+    """The image of g under the vertex bijection v -> perm[v]."""
+    names = [""] * g.n
+    for v in range(g.n):
+        names[perm[v]] = g.names[v]
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges],
+                            names)
+
+
 def drawn(e, seed):
     """A seeded gauge draw and relabelling of e, and its permutation."""
     rng = random.Random(seed)
@@ -60,7 +69,7 @@ def drawn(e, seed):
     for v, rot in enumerate(e.rotations):
         rotations[perm[v]] = tuple(perm[u] for u in rot)
     signs = {norm_edge(perm[u], perm[v]): s for (u, v), s in e.signs.items()}
-    return EmbeddedGraph(e.graph.relabeled(perm), tuple(rotations),
+    return EmbeddedGraph(relabeled(e.graph, perm), tuple(rotations),
                          signs), perm
 
 

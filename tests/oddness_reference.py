@@ -9,6 +9,7 @@ consistency check is Wu's identity, w1 squared equals the Euler
 characteristic mod 2.
 """
 
+from face_reference import tuple_walks
 from loquad.complexes import HypothesisError
 from loquad.embeddings import EmbeddedGraph, euler_characteristic
 from loquad.graphs import InvariantViolation, norm_edge
@@ -30,7 +31,7 @@ def _star_cocycles(e: EmbeddedGraph
     triangles = []
     cw = {ed: (1 if s == -1 else 0) for ed, s in e.signs.items()}
     cp = {ed: 1 for ed in e.signs}
-    for fi, walk in enumerate(e._walks):
+    for fi, walk in enumerate(tuple_walks(e)):
         x = n + fi
         corners = [v for _, v, _ in walk]
         if len(set(corners)) != len(corners):

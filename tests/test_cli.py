@@ -144,6 +144,16 @@ class TestClassify:
         assert not report["lo_is_surface"]
         assert report["lo_defect"]
 
+    def test_one_vertex_has_an_empty_complex(self, capsys, tmp_path):
+        # Lo(K1) has no vertex: an empty complex, not a disconnected one
+        p = tmp_path / "k1.emb.json"
+        p.write_text(ONE_VERTEX)
+        code, report = run_json(capsys, ["classify", str(p)])
+        assert code == EXIT_OK
+        assert not report["lo_is_surface"]
+        assert report["lo_defect"] == "empty: no vertices"
+        assert report["lo_class"] is None
+
 
 class TestInvariants:
     def test_k4_projective(self, capsys, fixture_path):
@@ -304,6 +314,20 @@ class TestNoTracebacks:
         assert main(["check", fixture_path("k4-projective.emb.json")]) \
             == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_memory_error_becomes_exit_2(self, capsys, monkeypatch,
+                                         tmp_path):
+        # the definitional complex of a large graph can outgrow an
+        # address-space limit; that ends in a message, not a traceback
+        def exhausted(g):
+            raise MemoryError()
+        monkeypatch.setattr("loquad.cli.lovasz_complex", exhausted)
+        p = tmp_path / "k4.json"
+        p.write_text(dump_graph(k4_projective().graph))
+        assert main(["lovasz", str(p)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     def test_other_exceptions_pass_through(self, monkeypatch, fixture_path):
         # a caller's own Exception subclass (a job time limit, say) must

@@ -126,10 +126,10 @@ class TestCutting:
             # rule
             turned = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
             walks = [list(w) for w in turned._walks]
-            u, v, f = walks[0][0]
-            walks[0][0] = (u, v, -f)
+            walks[0][0] ^= 1
             turned.__dict__["_walks"] = walks
-            first = e.graph.names[min(u, v)]
+            d = walks[0][0] >> 1
+            first = e.graph.names[min(e._darts.tail[d], e._darts.head[d])]
             with pytest.raises(InvariantViolation,
                                match=f"around vertex {first} multiply to -1"):
                 cut_surface_orientable(turned, (0, 1, 2))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import relabeled
 from loquad.graphs import (CapExceeded, Graph, GraphError, canonical_cycle,
                            chromatic_number, common_neighbors,
                            cycle_space_basis,
@@ -35,7 +36,7 @@ class TestConstruction:
 
     def test_relabeled_preserves_structure(self, fig1):
         perm = [3, 0, 4, 1, 5, 2]
-        h = fig1.relabeled(perm)
+        h = relabeled(fig1, perm)
         assert h.num_edges == fig1.num_edges
         for u, v in fig1.edges:
             assert perm[v] in h.adj[perm[u]]

@@ -33,7 +33,7 @@ class TestLabeling:
         L = lovasz_from_quadrangulation(t33)
         lab = build_labeling(L)
         for a, value in lab.items():
-            i = L.vertex_of(a)
+            i = L.labels.index(a)
             assert lab[L.labels[L.nu[i]]] == -value
 
     def test_no_singletons_is_an_error(self):
@@ -334,13 +334,18 @@ class TestVerifyTheorems:
 # ---------------------------------------------------------------------------
 
 def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
-    walked, assembled = [], []
+    walked, assembled, numbered = [], [], []
     walks = embeddings._face_state_walks
     assemble = embeddings._assemble_lovasz
+    number = embeddings._number_darts
 
     def counting_walks(e):
         walked.append(e)
         return walks(e)
+
+    def counting_number(e):
+        numbered.append(e)
+        return number(e)
 
     def counting_assemble(g, labels, faces):
         assembled.append(g)
@@ -353,15 +358,18 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     report_input = fresh(klein_grid(5, 5, 0))
     verify_input = fresh(klein_grid(5, 7, 0))
     monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
+    monkeypatch.setattr(embeddings, "_number_darts", counting_number)
     monkeypatch.setattr(embeddings, "_assemble_lovasz", counting_assemble)
     e = report_input
     first = invariant_report(e)
-    # the report reads the faces and builds no complex
-    assert walked == [e] and assembled == []
+    # the report numbers the darts and traces the faces once, and builds
+    # no complex
+    assert walked == numbered == [e] and assembled == []
     assert invariant_report(e) == first
-    assert walked == [e] and assembled == []
+    assert walked == numbered == [e] and assembled == []
 
     walked.clear()
+    numbered.clear()
     assembled.clear()
     verdicts_built, links_walked = [], []
     verdict = surfaces._surface_verdict
@@ -397,8 +405,10 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     verdicts = verify_theorems(e)
     assert all(v.passed for v in verdicts), verdicts
     # the input only: the map isomorphism of quotient_round_trip steps
-    # states of the folded embedding without tracing its faces
+    # states of the folded embedding without tracing its faces, over one
+    # numbering of each embedding's darts
     assert walked == [e]
+    assert len(numbered) == 2 and numbered[0] is e
     # no face-rule complex; two verdicts, on the definitional complex of
     # 140 vertices and on its orbit surface of 70, which the fold reads
     assert assembled == []

@@ -38,8 +38,7 @@ from loquad.generators import (k4_projective, klein_grid, shipped_fixtures,
                                torus_grid)
 from loquad.graphs import (DEFAULT_ORACLE_CYCLE_CAP, Graph, GraphError,
                            canonical_cycle, enumerate_simple_cycles,
-                           is_bipartite, labelled_cycles, norm_edge,
-                           simple_cycles)
+                           is_bipartite, labelled_cycles, simple_cycles)
 from loquad.invariants import invariant_report, verify_theorems
 
 
@@ -178,7 +177,7 @@ def random_rotation_system(g, seed):
 def meets_itself(e):
     """Whether some face has both sides of one edge."""
     for walk in e._walks:
-        edges = [norm_edge(u, v) for u, v, _ in walk]
+        edges = [e._darts.eid[s >> 1] for s in walk]
         if len(set(edges)) != len(edges):
             return True
     return False
@@ -413,6 +412,8 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     cut_orientable = embeddings.cut_surface_orientable
     check_cut_cycle = embeddings._check_cut_cycle
     face_walks = embeddings._face_state_walks
+    number_darts = embeddings._number_darts
+    numbered = []
     dual_table = embeddings._dual_table
     face_coherence = embeddings._face_coherence
     forest = embeddings.signed_forest
@@ -438,6 +439,10 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         traced.append(e)
         return face_walks(e)
 
+    def counting_number(e):
+        numbered.append(e)
+        return number_darts(e)
+
     def counting_dual(e):
         duals.append(e)
         table = dual_table(e)
@@ -457,6 +462,7 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     monkeypatch.setattr(embeddings, "cut_surface_orientable", counting_cut)
     monkeypatch.setattr(embeddings, "_check_cut_cycle", counting_check)
     monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
+    monkeypatch.setattr(embeddings, "_number_darts", counting_number)
     monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
     monkeypatch.setattr(embeddings, "_face_coherence", counting_coherence)
     monkeypatch.setattr(embeddings, "signed_forest", counting_forest)
@@ -472,9 +478,9 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     # each cycle is decided from the XOR its search carries: no cut
     # function runs, and no cycle is re-checked
     assert not cut and not checked
-    # the cuts read one face trace and one dual table of the embedding,
-    # built over one coherence labelling
-    assert traced == [odd_quad] and duals == [odd_quad]
+    # the cuts read one dart numbering, one face trace and one dual table
+    # of the embedding, built over one coherence labelling
+    assert traced == numbered == [odd_quad] and duals == [odd_quad]
     assert coherences == [odd_quad]
     # the table runs two labellings, the dual faces and then the vertex
     # signs its check reads; the cuts after it run none
@@ -488,8 +494,8 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert (verdict, witness, complete) == (None, None, False)
     assert len(drawn_cycles) == 3001
     assert not built and not cut and not checked
-    # still one trace and one table per embedding
-    assert traced == duals == coherences == [odd_quad, even_quad]
+    # still one numbering, one trace and one table per embedding
+    assert traced == numbered == duals == coherences == [odd_quad, even_quad]
     assert labelled == [len(odd_quad._walks), odd_quad.graph.n,
                         len(even_quad._walks), even_quad.graph.n]
     assert labelled_at_table == [2, 4]
