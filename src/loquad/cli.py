@@ -28,8 +28,7 @@ EXIT_INPUT = 2
 
 
 def _surface_dict(sc) -> dict:
-    return {"orientable": sc.orientable, "genus": sc.genus,
-            "euler": sc.euler}
+    return {"orientable": sc.orientable, "genus": sc.genus, "euler": sc.euler}
 
 
 def cmd_lovasz(args) -> int:
@@ -100,18 +99,10 @@ def cmd_classify(args) -> int:
 def cmd_invariants(args) -> int:
     e = load_embedding(args.input)
     r = invariant_report(e)
-    report = {
-        "gray_count": r.gray_count,
-        "cyclic_count": r.cyclic_count,
-        "odd": r.odd,
-        "cohom_ind": r.cohom_ind,
-        "ind": r.ind,
-        "coind": r.coind,
-        "non_tidy": r.non_tidy,
-        "but_manifold": r.but_manifold,
-        "lo_class": _surface_dict(r.lo_class),
-        "chromatic_lower_bound": r.chromatic_lower_bound,
-    }
+    report = {key: getattr(r, key) for key in (
+        "gray_count", "cyclic_count", "odd", "cohom_ind", "ind", "coind",
+        "non_tidy", "but_manifold", "lo_class", "chromatic_lower_bound")}
+    report["lo_class"] = _surface_dict(r.lo_class)
     code = EXIT_OK
     if args.exact_chi:
         try:
@@ -136,11 +127,9 @@ def cmd_verify(args) -> int:
     report = {v.name: {"status": v.status, "detail": v.detail}
               for v in verdicts}
     write_text(args.out, dump_report(report))
-    failed = [v for v in verdicts if v.status == "fail"]
-    if failed:
-        return EXIT_VERDICT
     # an input to which no statement applies is a failed verification too
-    if all(v.status == "skipped" for v in verdicts):
+    if any(v.status == "fail" for v in verdicts) or \
+            all(v.status == "skipped" for v in verdicts):
         return EXIT_VERDICT
     return EXIT_OK
 

@@ -6,25 +6,28 @@ encoding of embeddings in possibly non-orientable surfaces.  This module
 covers face tracing, quadrangulation checks, the sign-balance tests, the
 cut-along-cycle oracle, embedded isomorphism, and the constructions
 relating embeddings to the Lovász complex.  Its analyses read one integer
-numbering of the darts (`Darts`); a face walk state is 2 * dart + side,
-the dart u->v with local orientation +1 (side 0) or -1 at v.
+numbering of the darts (`Darts`), which also checks a file's rotations
+and signs, and one list of face corners; a face walk state is
+2 * dart + side, the dart u->v with local orientation +1 (side 0) or -1
+at v.
 
 Orientability and the even one-sided test are balance tests on the
-vertex signs, each one labelling by `graphs.signed_forest`.  Oddness and
-the oracle's cuts read the face coherence signs instead: an edge whose
-face sides have orientations ga and gb gets ga * gb when they traverse
-it in the same direction and ga * gb * sign(u, v) when in opposite ones.
-Labelling the faces by these signs along a spanning forest of the dual
-graph (`_face_coherence`) leaves the set R of edges whose two sides do
-not cancel.  R is a cycle dual to the one-sidedness class w1: it is
-empty iff the surface is orientable, and a quadrangulation is odd iff
-|R| is odd.  A cut reads each edge's mask over the fundamental dual
-cycles and the class of the signs over them (`EmbeddedGraph._dual`); the
-oracle carries the XOR of the masks down its cycle search, in O(1) per
-cycle.  The references, `tests/cut_reference.py`,
-`tests/oddness_reference.py` and `tests/face_reference.py`, build the cut
-embedding, the cup product on a star triangulation and the face walks of
-(u, v, f) tuples.
+vertex signs, both read off one labelling down the spanning forest that
+`Graph._parity` builds for connectivity (`EmbeddedGraph._balance`).
+Oddness and the oracle's cuts read the face coherence signs instead: an
+edge whose face sides have orientations ga and gb gets ga * gb when they
+traverse it in the same direction and ga * gb * sign(u, v) when in
+opposite ones.  Labelling the faces by these signs along a spanning
+forest of the dual graph (`_face_coherence`) leaves the set R of edges
+whose two sides do not cancel.  R is a cycle dual to the one-sidedness
+class w1: it is empty iff the surface is orientable, and a
+quadrangulation is odd iff |R| is odd.  A cut reads each edge's mask
+over the fundamental dual cycles and the class of the signs over them
+(`EmbeddedGraph._dual`); the oracle carries the XOR of the masks down
+its cycle search, in O(1) per cycle.  The references,
+`tests/cut_reference.py`, `tests/oddness_reference.py` and
+`tests/face_reference.py`, build the cut embedding, the cup product on a
+star triangulation and the face walks of (u, v, f) tuples.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ class EmbeddedGraph:
     """Graph with a cyclic neighbor order per vertex and a sign per edge.
 
     The analyses of the embedding are built once, on first use, and kept
-    with it: the dart numbering, the face walks, their coherence signs and
-    dual table, the quadrangulation and facial verdicts, the face-rule
-    hypotheses and complex, orientability and the oddness functional.
+    with it: the dart numbering, the face walks and corners, the coherence
+    signs and dual table, the quad and facial verdicts, the face-rule
+    hypotheses and complex, the sign balance and the oddness functional.
     The public functions below read them.  So neither an embedding nor
     its `signs` dict may be changed after construction.
     """
@@ -60,19 +63,21 @@ class EmbeddedGraph:
     graph: Graph
     rotations: tuple[tuple[int, ...], ...]
     signs: dict[Edge, int]
-    # `_darts`, kept in a declared field, as `Graph._forest` is
+    # `_darts` and `_corners`, kept in declared fields, as `Graph._forest`
+    # is; a parsed embedding comes with its darts numbered
     _dart_table: Optional[Darts] = field(
+        default=None, init=False, repr=False, compare=False)
+    _face_corners: Optional[list[list[int]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.graph
         if len(self.rotations) != g.n:
             raise GraphError("one rotation per vertex required")
-        for v, rot in enumerate(self.rotations):
-            if sorted(rot) != sorted(g.adj[v]):
-                raise GraphError(
-                    f"rotation at {g.names[v]} is not a permutation of its "
-                    f"neighbors")
+        for v, (rot, nbrs) in enumerate(zip(self.rotations, g.adj)):
+            if len(rot) != len(nbrs) or not nbrs.issubset(rot):
+                raise GraphError(f"rotation at {g.names[v]} is not a "
+                                 f"permutation of its neighbors")
         for e in g.edges:
             if self.signs.get(e) not in (1, -1):
                 raise GraphError(f"missing or invalid sign for edge {e}")
@@ -85,8 +90,18 @@ class EmbeddedGraph:
     @property
     def _darts(self) -> Darts:
         if self._dart_table is None:
-            object.__setattr__(self, "_dart_table", _number_darts(self))
+            object.__setattr__(self, "_dart_table", _number_darts(
+                self.rotations, [(*uv, s) for uv, s in self.signs.items()],
+                self.graph.names))
         return self._dart_table
+
+    @property
+    def _corners(self) -> list[list[int]]:
+        if self._face_corners is None:
+            tail = self._darts.tail
+            object.__setattr__(self, "_face_corners", [
+                [tail[s >> 1] for s in walk] for walk in self._walks])
+        return self._face_corners
 
     @cached_property
     def _walks(self) -> list[list[int]]:
@@ -102,9 +117,7 @@ class EmbeddedGraph:
 
     @cached_property
     def _quad(self) -> QuadVerdict:
-        tail = self._darts.tail
-        for walk in self._walks:
-            boundary = [tail[s >> 1] for s in walk]
+        for boundary in self._corners:
             if len(boundary) != 4 or len(set(boundary)) != 4:
                 return QuadVerdict(False, tuple(boundary))
         return QuadVerdict(True)
@@ -118,8 +131,7 @@ class EmbeddedGraph:
                                   f"face {quad.bad_face}")
         # a 4-cycle is its pair of diagonals, and wedge pairs a-b-c, a-d-c
         # count it twice per diagonal {a, c}; the sorted scan names a witness
-        n, tail = self.graph.n, self._darts.tail
-        boundaries = [[tail[s >> 1] for s in walk] for walk in self._walks]
+        n, boundaries = self.graph.n, self._corners
         facial = {frozenset((a * n + c, c * n + a, b * n + d, d * n + b))
                   for a, b, c, d in boundaries}
         wedges = Counter(chain.from_iterable(
@@ -153,8 +165,7 @@ class EmbeddedGraph:
         g = self.graph
         nb: list[Label] = [tuple(sorted(a)) for a in g.adj]
         triangles: set[frozenset[Label]] = set()
-        for f in trace_faces(self):
-            a, b, c, d = f.boundary
+        for a, b, c, d in self._corners:
             for (x, z), (y, w) in (((a, c), (b, d)), ((b, d), (a, c))):
                 diag: Label = tuple(sorted((x, z)))
                 triangles.update(frozenset(((s,), diag, nb[t]))
@@ -165,20 +176,28 @@ class EmbeddedGraph:
         return _assemble_lovasz(g, labels, faces)
 
     @cached_property
-    def _orientable(self) -> bool:
-        return _balanced(self, 1)
+    def _balance(self) -> tuple[bool, bool]:
+        """Whether the signs, and the negated signs, are balanced (Harary
+        1953), from the signs' labels down the forest of `Graph._parity`:
+        all edges agree, or each disagrees iff it breaks the parity labels."""
+        forest, signs = self.graph._parity, self.signs
+        label = [1] * self.graph.n
+        for v in forest.order:
+            if forest.up[v] is not None:
+                u = forest.up[v][1]
+                label[v] = label[u] * signs[(u, v) if u < v else (v, u)]
+        parity = forest.labels
+        agree = [label[u] * label[v] == s for (u, v), s in signs.items()]
+        return all(agree), all(
+            ok != (parity[u] == parity[v]) for ok, (u, v) in zip(agree, signs))
 
     @cached_property
     def _odd(self) -> bool:
-        head = self._darts.head
-        for walk in self._walks:
-            corners = [head[s >> 1] for s in walk]
-            if len(set(corners)) != len(corners):
-                raise HypothesisError("faces are simple cycles",
-                                      f"face walk {tuple(corners)}")
-            if len(corners) % 2 != 0:
-                raise HypothesisError("faces have even length",
-                                      f"face walk {tuple(corners)}")
+        for c in self._corners:
+            bad = ("faces are simple cycles" if len(set(c)) != len(c) else
+                   "faces have even length" if len(c) % 2 else None)
+            if bad:     # the walk of its darts' heads, the corners turned
+                raise HypothesisError(bad, f"face walk {(*c[1:], *c[:1])}")
         _, reversal, _, _ = self._coherence
         # Wu consistency check: w1 squared, the number of negative edges
         # of R, is the Euler characteristic mod 2
@@ -238,8 +257,12 @@ Darts = namedtuple("Darts", "first tail head rev succ pred sgn eid step "
                             "mirror")
 
 
-def _number_darts(e: EmbeddedGraph) -> Darts:
-    n, rots = e.graph.n, e.rotations
+def _number_darts(rots: Sequence[Sequence[int]], signs: Iterable,
+                  names: Sequence[str]) -> Darts:
+    """Number the darts, each with the sign and index of its edge's
+    [u, v, s] in `signs`, and check on the way, raising the first fault:
+    each sign in turn, then the edges' signs, then the rotations."""
+    n = len(rots)
     first = [0, *accumulate(map(len, rots))]
     tail = list(chain.from_iterable(map(repeat, range(n), map(len, rots))))
     head = list(chain.from_iterable(rots))
@@ -248,13 +271,35 @@ def _number_darts(e: EmbeddedGraph) -> Darts:
     for a, b in zip(first, first[1:]):
         if a < b:
             succ[b - 1], pred[a] = a, b - 1
-    at = dict(zip([t * n + h for t, h in zip(tail, head)], range(m)))
-    rev, sgn, eid = [0] * m, [0] * m, [0] * m
-    for i, ((u, v), s) in enumerate(e.signs.items()):
-        d, r = at[u * n + v], at[v * n + u]
-        rev[d], rev[r] = r, d
-        sgn[d] = sgn[r] = s
-        eid[d] = eid[r] = i
+    keys = [t * n + h for t, h in zip(tail, head)]
+    at = dict(zip(keys, range(m)))
+    # a dart whose head does not list its tail gets the spare slot m as reverse
+    rev = list(map(at.get, [h * n + t for t, h in zip(tail, head)], repeat(m)))
+    sgn, eid = [0] * (m + 1), [0] * (m + 1)
+    for i, item in enumerate(signs):
+        u, v, s = item if type(item) in (list, tuple) and len(item) == 3 \
+            else (None,) * 3
+        if not type(u) is type(v) is type(s) is int:
+            raise GraphError(f"signs[{i}] must be [u, v, s]")
+        d = at.get(u * n + v, at.get(v * n + u, -1)) \
+            if 0 <= u < v < n and s in (1, -1) else -1
+        if d < 0 or sgn[d]:
+            raise GraphError(f"duplicate sign for [{u}, {v}]" if d >= 0 else
+                             f"signs[{i}] = [{u}, {v}, {s}] must name an "
+                             f"edge with s in {{1, -1}}")
+        sgn[d] = sgn[rev[d]] = s
+        eid[d] = eid[rev[d]] = i
+    del sgn[m], eid[m]
+    # a repeated dart has no sign; the one `at` keeps for its key has
+    missing = [norm_edge(tail[d], head[d]) for d in range(m)
+               if not sgn[at[keys[d]]]] if 0 in sgn else ()
+    if missing:
+        raise GraphError("missing sign for edge [%d, %d]" % min(missing))
+    if len(at) < m or m in rev:
+        bad = [tail[d] for d in range(m) if at[keys[d]] != d] + [
+            head[d] for d in range(m) if rev[d] == m]
+        raise GraphError(f"rotation at {names[min(bad)]} is not a "
+                         f"permutation of its neighbors")
     # u->v steps to v->w, w after (on side 1 before) u at v, times sign(vw)
     plus = [2 * d + (s < 0) for d, s in enumerate(sgn)]
     minus = [p ^ 1 for p in plus]
@@ -292,16 +337,14 @@ def _face_state_walks(e: EmbeddedGraph) -> list[list[int]]:
         walks.append(walk)
     # a vertex without darts is a sphere with one face, of empty boundary
     walks += [[] for rot in e.rotations if not rot]
-    if sum(len(w) for w in walks) != 2 * e.graph.num_edges:
+    if sum(map(len, walks)) != 2 * e.graph.num_edges:
         raise InvariantViolation("face walks do not use every dart once")
     return walks
 
 
 def trace_faces(e: EmbeddedGraph) -> list[FaceWalk]:
     """All face boundary walks of the embedding."""
-    tail, head = e._darts.tail, e._darts.head
-    return [FaceWalk(tuple((tail[s >> 1], head[s >> 1]) for s in walk))
-            for walk in e._walks]
+    return [FaceWalk(tuple(zip(c, c[1:] + c[:1]))) for c in e._corners]
 
 
 def _face_coherence(e: EmbeddedGraph) -> Coherence:
@@ -310,7 +353,7 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
     coherence sign.  Returns per edge id its two faces and sign, and
     whether it is in R; per face the forest edge to its parent; and the
     faces in `signed_forest` order.  Checked against the face walks, the
-    disc around every vertex and the vertex-sign verdict `_orientable`.
+    disc around every vertex and the vertex-sign verdict `_balance`.
     """
     dt = e._darts
     eid, sgn, tail, head = dt.eid, dt.sgn, dt.tail, dt.head
@@ -345,7 +388,7 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
             f"{e.graph.names[around.index(-1)]} multiply to -1")
     eps, up, order, balanced = signed_forest(len(dual), dual.__getitem__)
     reversal = [eps[fa] * eps[fb] * c < 0 for fa, fb, c in sides]
-    if balanced != e._orientable:
+    if balanced != e._balance[0]:
         raise InvariantViolation("face coherence and vertex signs disagree "
                                  "on orientability")
     return sides, reversal, up, order
@@ -426,15 +469,7 @@ def is_orientable_embedding(e: EmbeddedGraph) -> bool:
     Equivalent to the sign assignment being switching-equivalent to
     all-positive; decided by one signed labelling.
     """
-    return e._orientable
-
-
-def _balanced(e: EmbeddedGraph, flip: int) -> bool:
-    """Whether the edge signs, each times `flip`, are balanced."""
-    first, head, sgn = e._darts.first, e._darts.head, e._darts.sgn
-    signed = [(None, w, flip * s) for w, s in zip(head, sgn)]
-    return signed_forest(e.graph.n, lambda u: signed[first[u]:first[u + 1]]
-                         ).balanced
+    return e._balance[0]
 
 
 def has_even_one_sided_class(e: EmbeddedGraph) -> bool:
@@ -446,7 +481,7 @@ def has_even_one_sided_class(e: EmbeddedGraph) -> bool:
     it has an even number of negative ones under the negated signs.  Over
     GF(2) an even one-sided element exists iff w1 is neither.
     """
-    return not e._orientable and not _balanced(e, -1)
+    return not any(e._balance)
 
 
 # ---------------------------------------------------------------------------

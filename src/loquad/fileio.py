@@ -1,5 +1,9 @@
 """File formats: graphs, embeddings and reports as versioned JSON text.
 
+An embedding is read straight into the structures its analyses use:
+the adjacency from the rotations, and the dart numbering that checks
+them and the signs.  JSON's true and false are no integers here.
+
 All writers are deterministic (explicit key order, no hash iteration), so
 identical objects serialize byte-identically and fixtures can be compared
 as golden files.
@@ -9,8 +13,8 @@ import json
 import sys
 from typing import Any, Optional, TextIO
 
-from .graphs import Graph, GraphError, norm_edge
-from .embeddings import EmbeddedGraph
+from .graphs import Graph, GraphError
+from .embeddings import EmbeddedGraph, _number_darts
 
 FORMAT_VERSION = 1
 
@@ -31,7 +35,7 @@ def _parse(text: str, source: str) -> dict:
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise FileFormatError(f"{source}: top level must be an object")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != FORMAT_VERSION or doc["version"] is True:
         raise FileFormatError(
             f"{source}: unsupported format version {doc.get('version')!r}")
     return doc
@@ -39,30 +43,29 @@ def _parse(text: str, source: str) -> dict:
 
 def _require_n(doc: dict, source: str) -> int:
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise FileFormatError(f"{source}: 'n' must be a positive integer")
     return n
 
 
-def _require_names(doc: dict, n: int, source: str) -> Optional[list[str]]:
+def _require_names(doc: dict, n: int, source: str) -> tuple[str, ...]:
     names = doc.get("names")
     if names is None:
-        return None
+        return tuple(map(str, range(n)))
     if not (isinstance(names, list) and len(names) == n
             and all(isinstance(s, str) for s in names)):
         raise FileFormatError(f"{source}: 'names' must list {n} strings")
-    return names
+    return tuple(names)
 
 
 def _require_edges(doc: dict, n: int, source: str) -> list[tuple[int, int]]:
     raw = doc.get("edges")
     if not isinstance(raw, list):
         raise FileFormatError(f"{source}: 'edges' must be a list")
-    edges = []
-    seen = set()
+    edges: dict[tuple[int, int], None] = {}     # a set in file order
     for k, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2
-                and all(isinstance(x, int) for x in item)):
+                and type(item[0]) is type(item[1]) is int):
             raise FileFormatError(
                 f"{source}: edges[{k}] must be a pair of integers")
         u, v = item
@@ -70,19 +73,17 @@ def _require_edges(doc: dict, n: int, source: str) -> list[tuple[int, int]]:
             raise FileFormatError(
                 f"{source}: edges[{k}] = [{u}, {v}] must satisfy "
                 f"0 <= u < v < {n}")
-        if (u, v) in seen:
+        if (u, v) in edges:
             raise FileFormatError(f"{source}: duplicate edge [{u}, {v}]")
-        seen.add((u, v))
-        edges.append((u, v))
-    return edges
+        edges[u, v] = None
+    return list(edges)
 
 
 def parse_graph(text: str, source: str = "<input>") -> Graph:
     doc = _parse(text, source)
     n = _require_n(doc, source)
     names = _require_names(doc, n, source)
-    edges = _require_edges(doc, n, source)
-    return Graph.from_edges(n, edges, names)
+    return Graph.from_edges(n, _require_edges(doc, n, source), names)
 
 
 def parse_embedding(text: str, source: str = "<input>") -> EmbeddedGraph:
@@ -93,45 +94,27 @@ def parse_embedding(text: str, source: str = "<input>") -> EmbeddedGraph:
     if not (isinstance(rots, list) and len(rots) == n):
         raise FileFormatError(f"{source}: 'rotations' must list {n} "
                               f"neighbor orders")
-    edges = set()
     for v, rot in enumerate(rots):
         if not (isinstance(rot, list)
-                and all(isinstance(u, int) and 0 <= u < n for u in rot)):
+                and all(type(u) is int and 0 <= u < n for u in rot)):
             raise FileFormatError(
                 f"{source}: rotations[{v}] must list vertex indices in "
                 f"[0, {n})")
-        for u in rot:
-            if u == v:
-                raise FileFormatError(f"{source}: rotations[{v}] contains a "
-                                      f"loop")
-            edges.add(norm_edge(u, v))
+        if v in rot:
+            raise FileFormatError(f"{source}: rotations[{v}] contains a "
+                                  f"loop")
     raw_signs = doc.get("signs")
     if not isinstance(raw_signs, list):
         raise FileFormatError(f"{source}: 'signs' must be a list")
-    signs = {}
-    for k, item in enumerate(raw_signs):
-        if not (isinstance(item, list) and len(item) == 3
-                and all(isinstance(x, int) for x in item)):
-            raise FileFormatError(
-                f"{source}: signs[{k}] must be [u, v, s]")
-        u, v, s = item
-        if not (0 <= u < v < n) or (u, v) not in edges or s not in (1, -1):
-            raise FileFormatError(
-                f"{source}: signs[{k}] = [{u}, {v}, {s}] must name an edge "
-                f"with s in {{1, -1}}")
-        if (u, v) in signs:
-            raise FileFormatError(f"{source}: duplicate sign for "
-                                  f"[{u}, {v}]")
-        signs[(u, v)] = s
-    missing = edges - set(signs)
-    if missing:
-        u, v = min(missing)
-        raise FileFormatError(f"{source}: missing sign for edge [{u}, {v}]")
-    g = Graph.from_edges(n, edges, names)
+    rotations = tuple(map(tuple, rots))
     try:
-        return EmbeddedGraph(g, tuple(tuple(r) for r in rots), signs)
+        darts = _number_darts(rotations, raw_signs, names)
+        e = EmbeddedGraph(Graph(n, tuple(map(frozenset, rotations)), names),
+                          rotations, {(u, v): s for u, v, s in raw_signs})
     except GraphError as exc:
         raise FileFormatError(f"{source}: {exc}")
+    object.__setattr__(e, "_dart_table", darts)
+    return e
 
 
 def read_text(path: str) -> tuple[str, str]:
@@ -157,13 +140,9 @@ def load_embedding(path: str) -> EmbeddedGraph:
 # Writing
 # ---------------------------------------------------------------------------
 
-def _default_names(names: tuple[str, ...], n: int) -> bool:
-    return list(names) == [str(i) for i in range(n)]
-
-
 def dump_graph(g: Graph) -> str:
     doc: dict[str, Any] = {"version": FORMAT_VERSION, "n": g.n}
-    if not _default_names(g.names, g.n):
+    if g.names != tuple(map(str, range(g.n))):
         doc["names"] = list(g.names)
     doc["edges"] = [list(e) for e in g.edges]
     return json.dumps(doc, indent=1) + "\n"
@@ -172,7 +151,7 @@ def dump_graph(g: Graph) -> str:
 def dump_embedding(e: EmbeddedGraph) -> str:
     g = e.graph
     doc: dict[str, Any] = {"version": FORMAT_VERSION, "n": g.n}
-    if not _default_names(g.names, g.n):
+    if g.names != tuple(map(str, range(g.n))):
         doc["names"] = list(g.names)
     doc["rotations"] = [list(r) for r in e.rotations]
     doc["signs"] = [[u, v, e.signs[(u, v)]] for u, v in g.edges]

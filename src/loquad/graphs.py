@@ -1,8 +1,8 @@
 """Finite simple graphs and common-neighbor machinery.
 
 Vertices are dense integer indices 0..n-1; optional display names are kept
-separately.  Adjacency is stored both as frozensets (for iteration) and as
-integer bitmasks (for the common-neighbor kernels).
+separately.  Adjacency is stored as frozensets (for iteration) and, from
+their first use, as integer bitmasks (for the common-neighbor kernels).
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ class Graph:
     n: int
     adj: tuple[frozenset[int], ...]
     names: tuple[str, ...]
-    masks: tuple[int, ...] = field(repr=False, default=())
-    # `_parity`, kept on first use in a declared field: a key added to the
-    # instance dict would slow every later read of the other fields
+    # `masks` and `_parity`, kept on first use in declared fields: a key
+    # added to the instance dict would slow every later read of the others
+    _masks: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
     _forest: Optional[SignedForest] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -54,14 +55,17 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        if names is None:
-            names = tuple(str(i) for i in range(n))
-        else:
-            names = tuple(names)
-            if len(names) != n:
-                raise GraphError("names length must equal vertex count")
-        masks = tuple(sum(1 << w for w in a) for a in adj)
-        return Graph(n, tuple(frozenset(a) for a in adj), names, masks)
+        names = tuple(map(str, range(n)) if names is None else names)
+        if len(names) != n:
+            raise GraphError("names length must equal vertex count")
+        return Graph(n, tuple(frozenset(a) for a in adj), names)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        if self._masks is None:
+            object.__setattr__(self, "_masks", tuple(
+                sum(1 << w for w in a) for a in self.adj))
+        return self._masks
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -69,7 +73,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -79,8 +83,9 @@ class Graph:
         """One labelling with every edge sign -1: its roots count the
         components, and it is balanced iff the graph is bipartite."""
         if self._forest is None:
+            none, minus = itertools.repeat(None), itertools.repeat(-1)
             object.__setattr__(self, "_forest", signed_forest(
-                self.n, lambda u: ((None, w, -1) for w in self.adj[u])))
+                self.n, lambda u: zip(none, self.adj[u], minus)))
         return self._forest
 
 
@@ -99,10 +104,10 @@ def common_neighbors_mask(g: Graph, mask: int) -> int:
 
     The empty set has every vertex as a (vacuous) common neighbor.
     """
-    result = (1 << g.n) - 1
+    result, masks = (1 << g.n) - 1, g.masks
     while mask:
         low = mask & -mask
-        result &= g.masks[low.bit_length() - 1]
+        result &= masks[low.bit_length() - 1]
         if not result:
             return 0
         mask ^= low

@@ -188,11 +188,10 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
         raise ValueError(f"unknown triangulation rule {rule!r}")
     # corners compare as their |label|s, negated under "max" so that the
     # diagonal corner q[k] is the least; p1, p2, p3 follow it cyclically
-    sign = 1 if rule == "min" else -1
+    faces = e._corners if rule == "min" else [[-c for c in q]
+                                               for q in e._corners]
     gray = r = 0
-    tail = e._darts.tail
-    for walk in e._walks:
-        q = [sign * tail[s >> 1] for s in walk]
+    for q in faces:
         k = q.index(min(q))
         p1, p2, p3 = q[k - 3], q[k - 2], q[k - 1]
         gray += (p1 < p2) + (p3 < p2)
@@ -216,18 +215,10 @@ def invariant_report(e: EmbeddedGraph, rule: str = "min") -> GrayReport:
     if not coind <= cohom_ind <= ind:
         raise InvariantViolation(
             f"coind {coind} <= cohom-ind {cohom_ind} <= ind {ind} fails")
-    return GrayReport(
-        gray_count=gray,
-        cyclic_count=r,
-        cohom_ind=cohom_ind,
-        ind=ind,
-        coind=coind,
-        chromatic_lower_bound=ind + 2,
-        lo_class=lo_class,
-        odd=odd,
-        non_tidy=coind < ind,
-        but_manifold=ind == 2,
-    )
+    return GrayReport(gray_count=gray, cyclic_count=r, cohom_ind=cohom_ind,
+                      ind=ind, coind=coind, chromatic_lower_bound=ind + 2,
+                      lo_class=lo_class, odd=odd, non_tidy=coind < ind,
+                      but_manifold=ind == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,111 @@ class TestGenerate:
             assert family in words
 
 
+def run_stdin(capsys, monkeypatch, argv, doc):
+    """The exit code and standard error of `argv` reading doc on stdin."""
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+# K4 on the projective plane, with display names, and the malformed
+# variants of it: the fields each replaces, and the one line of standard
+# error it gives
+K4_DOC = {"version": 1, "n": 4, "names": ["a", "b", "c", "d"],
+          "rotations": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+          "signs": [[0, 1, 1], [0, 2, -1], [0, 3, 1], [1, 2, 1],
+                    [1, 3, -1], [2, 3, 1]]}
+_R, _S = K4_DOC["rotations"], K4_DOC["signs"]
+_NOT_EDGE = "must name an edge with s in {1, -1}"
+MALFORMED = {
+    "rotation-count": ({"rotations": _R[:3]},
+                       "'rotations' must list 4 neighbor orders"),
+    "rotations-not-a-list": ({"rotations": {"0": _R[0]}},
+                             "'rotations' must list 4 neighbor orders"),
+    "rotation-not-a-list": ({"rotations": [_R[0], 5, _R[2], _R[3]]},
+                            "rotations[1] must list vertex indices in [0, 4)"),
+    "neighbour-out-of-range": (
+        {"rotations": [_R[0], _R[1], [0, 1, 4], _R[3]]},
+        "rotations[2] must list vertex indices in [0, 4)"),
+    "neighbour-negative": ({"rotations": [_R[0], _R[1], [0, -1, 3], _R[3]]},
+                           "rotations[2] must list vertex indices in [0, 4)"),
+    "neighbour-not-an-int": (
+        {"rotations": [_R[0], _R[1], [0, 1.0, 3], _R[3]]},
+        "rotations[2] must list vertex indices in [0, 4)"),
+    "loop": ({"rotations": [_R[0], _R[1], [0, 1, 2, 3], _R[3]]},
+             "rotations[2] contains a loop"),
+    "repeated-neighbour": (
+        {"rotations": [_R[0], _R[1], _R[2], [0, 1, 2, 1]]},
+        "rotation at d is not a permutation of its neighbors"),
+    # b does not list d, which lists b; then a does not list d
+    "asymmetric-later-vertex": (
+        {"rotations": [_R[0], [0, 2], _R[2], _R[3]]},
+        "rotation at b is not a permutation of its neighbors"),
+    "asymmetric-first-vertex": (
+        {"rotations": [[1, 2], _R[1], _R[2], _R[3]]},
+        "rotation at a is not a permutation of its neighbors"),
+    "sign-on-non-edge": ({"rotations": [_R[0], _R[1], [0, 1], [0, 1]]},
+                         f"signs[5] = [2, 3, 1] {_NOT_EDGE}"),
+    "sign-zero": ({"signs": [_S[0], [0, 2, 0], *_S[2:]]},
+                  f"signs[1] = [0, 2, 0] {_NOT_EDGE}"),
+    "sign-two": ({"signs": [_S[0], [0, 2, 2], *_S[2:]]},
+                 f"signs[1] = [0, 2, 2] {_NOT_EDGE}"),
+    "sign-u-above-v": ({"signs": [_S[0], [2, 0, -1], *_S[2:]]},
+                       f"signs[1] = [2, 0, -1] {_NOT_EDGE}"),
+    "sign-u-equals-v": ({"signs": [_S[0], [2, 2, -1], *_S[2:]]},
+                        f"signs[1] = [2, 2, -1] {_NOT_EDGE}"),
+    "sign-out-of-range": ({"signs": [_S[0], [0, 4, -1], *_S[2:]]},
+                          f"signs[1] = [0, 4, -1] {_NOT_EDGE}"),
+    "sign-not-a-triple": ({"signs": [_S[0], [0, 2], *_S[2:]]},
+                          "signs[1] must be [u, v, s]"),
+    "signs-not-a-list": ({"signs": {"0": 1}}, "'signs' must be a list"),
+    "duplicate-sign": ({"signs": [*_S, [1, 2, -1]]},
+                       "duplicate sign for [1, 2]"),
+    "missing-sign": ({"signs": _S[:4] + _S[5:]},
+                     "missing sign for edge [1, 3]"),
+    "missing-signs-name-the-least": ({"signs": _S[:1] + _S[3:5]},
+                                     "missing sign for edge [0, 2]"),
+    "names-wrong-length": ({"names": ["a", "b", "c"]},
+                           "'names' must list 4 strings"),
+    # faults found in different places keep their order
+    "duplicate-before-shape": ({"signs": [_S[0], _S[0], [0, 2], *_S[2:]]},
+                               "duplicate sign for [0, 1]"),
+    "missing-sign-before-asymmetry": (
+        {"rotations": [_R[0], [0, 2], _R[2], _R[3]],
+         "signs": _S[:4] + _S[5:]},
+        "missing sign for edge [1, 3]"),
+    "sign-on-non-edge-before-repeat": (
+        {"rotations": [_R[0], _R[1], [0, 1, 0], [0, 1]]},
+        f"signs[5] = [2, 3, 1] {_NOT_EDGE}"),
+    "repeat-before-asymmetry": (
+        {"rotations": [_R[0], [0, 2, 2, 3], _R[2], [0, 2]]},
+        "rotation at b is not a permutation of its neighbors"),
+}
+MALFORMED = {name: (changes, f"error: <stdin>: {message}\n")
+             for name, (changes, message) in MALFORMED.items()}
+# JSON's true is no integer, though Python's bool is an int
+BOOLEAN_EMBEDDING = {
+    "version": ({"version": True},
+                "error: <stdin>: unsupported format version True\n"),
+    "n": ({"n": True, "names": ["a"], "rotations": [[]], "signs": []},
+          "error: <stdin>: 'n' must be a positive integer\n"),
+    "rotation": ({"rotations": [[True, 2, 3], *_R[1:]]},
+                 "error: <stdin>: rotations[0] must list vertex indices in "
+                 "[0, 4)\n"),
+    "sign": ({"signs": [[0, 1, True], *_S[1:]]},
+             "error: <stdin>: signs[0] must be [u, v, s]\n"),
+}
+BOOLEAN_GRAPH = {
+    "version": ({"version": True},
+                "error: <stdin>: unsupported format version True\n"),
+    "n": ({"n": True, "edges": []},
+          "error: <stdin>: 'n' must be a positive integer\n"),
+    "edge": ({"edges": [[0, 1], [True, 2]]},
+             "error: <stdin>: edges[1] must be a pair of integers\n"),
+}
+
+
 class TestInputErrors:
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -299,6 +404,27 @@ class TestInputErrors:
         assert main(["verify", fixture_path("k4-projective.emb.json"),
                      "--cap-cycles", "0"]) == EXIT_INPUT
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", MALFORMED, ids=str)
+    def test_malformed_embedding_file(self, capsys, monkeypatch, name):
+        changes, message = MALFORMED[name]
+        assert run_stdin(capsys, monkeypatch, ["check", "-"],
+                         {**K4_DOC, **changes}) == (EXIT_INPUT, message)
+
+    @pytest.mark.parametrize("field", BOOLEAN_EMBEDDING, ids=str)
+    def test_boolean_is_not_an_integer_in_an_embedding(self, capsys,
+                                                       monkeypatch, field):
+        changes, message = BOOLEAN_EMBEDDING[field]
+        assert run_stdin(capsys, monkeypatch, ["check", "-"],
+                         {**K4_DOC, **changes}) == (EXIT_INPUT, message)
+
+    @pytest.mark.parametrize("field", BOOLEAN_GRAPH, ids=str)
+    def test_boolean_is_not_an_integer_in_a_graph(self, capsys, monkeypatch,
+                                                  field):
+        changes, message = BOOLEAN_GRAPH[field]
+        doc = {"version": 1, "n": 3, "edges": [[0, 1], [1, 2]], **changes}
+        assert run_stdin(capsys, monkeypatch, ["lovasz", "-"], doc) \
+            == (EXIT_INPUT, message)
 
 
 class TestNoTracebacks:

@@ -1,13 +1,14 @@
 """The dart numbering of an embedding against its public view.
 
 `EmbeddedGraph._darts` numbers the darts once; the face walks, the
-quadrangulation and facial tests, the coherence table and the balance
-tests read its flat tables.  Here the tables are checked against
-`rotations` and `signs`, the int walks against the tuple tracer of
-`face_reference.py`, and the count-first facial test against the sorted
-`four_cycles` scan.  The corpus is the shipped fixtures, Klein grids
-(m, n in 3..6, twists 0..2) and torus grids (m, n in 3..6), each as
-generated and in two seeded relabel-and-switch draws, plus seeded
+quadrangulation and facial tests and the coherence table read its flat
+tables.  Here the tables are checked against `rotations` and `signs`,
+the int walks against the tuple tracer of `face_reference.py`, and the
+count-first facial test against the sorted `four_cycles` scan, and the
+table a parsed embedding comes with against the numbering of the same
+embedding built in code.  The corpus is the shipped fixtures, Klein
+grids (m, n in 3..6, twists 0..2) and torus grids (m, n in 3..6), each
+as generated and in two seeded relabel-and-switch draws, plus seeded
 rotation systems of small graphs, whose faces have every length and can
 meet themselves.  Seeds are fixed.
 """
@@ -17,7 +18,9 @@ import pytest
 from conftest import drawn
 from face_reference import as_tuples, tuple_walks
 from loquad import embeddings
-from loquad.embeddings import all_4cycles_facial, is_quadrangulation
+from loquad.embeddings import (Darts, EmbeddedGraph, all_4cycles_facial,
+                               is_quadrangulation)
+from loquad.fileio import dump_embedding, parse_embedding
 from loquad.generators import klein_grid, shipped_fixtures, torus_grid
 from loquad.graphs import Graph, canonical_cycle, four_cycles, norm_edge
 from test_invariants import GRIDS, _fresh
@@ -147,3 +150,30 @@ def test_facial_scan_runs_only_without_a_count_match(monkeypatch):
     assert all_4cycles_facial(facial).ok and not scanned
     assert not all_4cycles_facial(non_facial).ok
     assert scanned == [non_facial.graph]
+
+
+# ---------------------------------------------------------------------------
+# The hand-over: a parsed embedding comes with the table the code would build
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("i", range(len(CORPUS)))
+def test_parsed_table_matches_the_numbering_of_the_built_embedding(i):
+    e = CORPUS[i]
+    parsed = parse_embedding(dump_embedding(e))
+    # the parser hands its numbering over; nothing numbers it again
+    assert parsed._dart_table is not None
+    # the file lists the signs in the graph's edge order, and `eid` counts
+    # them in that order
+    g = e.graph
+    built = EmbeddedGraph(g, e.rotations, {ed: e.signs[ed] for ed in g.edges})
+    assert built._dart_table is None
+    table, reference = parsed._darts, built._darts
+    for name in Darts._fields:
+        assert getattr(table, name) == getattr(reference, name), name
+    assert parsed.graph == g and parsed.rotations == e.rotations
+    assert parsed.signs == e.signs
+    # masks are built when first read, and equal the eager ones
+    eager = tuple(sum(1 << w for w in a) for a in g.adj)
+    assert parsed.graph._masks is None
+    assert parsed.graph.masks == eager
+    assert parsed.graph == g and built.graph.masks == eager

@@ -113,8 +113,8 @@ class TestCutting:
         # built; a stale kept analysis stands in for a wrong one
         for e in (k4p, t33):
             wrong_verdict = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
-            wrong_verdict.__dict__["_orientable"] = \
-                not is_orientable_embedding(e)
+            wrong_verdict.__dict__["_balance"] = (
+                not is_orientable_embedding(e), False)
             with pytest.raises(InvariantViolation, match="disagree"):
                 cut_surface_orientable(wrong_verdict, (0, 1, 2))
             face_lost = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))

@@ -439,9 +439,9 @@ def test_oracle_builds_no_embeddings(monkeypatch):
         traced.append(e)
         return face_walks(e)
 
-    def counting_number(e):
-        numbered.append(e)
-        return number_darts(e)
+    def counting_number(rotations, signs, names):
+        numbered.append(rotations)
+        return number_darts(rotations, signs, names)
 
     def counting_dual(e):
         duals.append(e)
@@ -480,12 +480,12 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert not cut and not checked
     # the cuts read one dart numbering, one face trace and one dual table
     # of the embedding, built over one coherence labelling
-    assert traced == numbered == [odd_quad] and duals == [odd_quad]
-    assert coherences == [odd_quad]
-    # the table runs two labellings, the dual faces and then the vertex
-    # signs its check reads; the cuts after it run none
-    assert labelled == [len(odd_quad._walks), odd_quad.graph.n]
-    assert labelled_at_table == [2]
+    assert traced == duals == coherences == [odd_quad]
+    assert numbered == [odd_quad.rotations]
+    # the table runs one labelling, of the dual faces; the vertex signs its
+    # check reads go down the graph's parity forest; the cuts run none
+    assert labelled == [len(odd_quad._walks)]
+    assert labelled_at_table == [1]
 
     # an even quadrangulation: every cycle up to the cap is decided, and
     # one more cycle is drawn to learn that the cap stopped the search
@@ -495,10 +495,10 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert len(drawn_cycles) == 3001
     assert not built and not cut and not checked
     # still one numbering, one trace and one table per embedding
-    assert traced == numbered == duals == coherences == [odd_quad, even_quad]
-    assert labelled == [len(odd_quad._walks), odd_quad.graph.n,
-                        len(even_quad._walks), even_quad.graph.n]
-    assert labelled_at_table == [2, 4]
+    assert traced == duals == coherences == [odd_quad, even_quad]
+    assert numbered == [odd_quad.rotations, even_quad.rotations]
+    assert labelled == [len(odd_quad._walks), len(even_quad._walks)]
+    assert labelled_at_table == [1, 2]
 
     # the report decides oddness from one coherence labelling and builds
     # no cut masks

@@ -1,6 +1,8 @@
 """The one signed labelling, `graphs.signed_forest`, against independent
 routes: the triangle-by-triangle orientation of `orientation_reference`
-for the complexes, and networkx for the graph questions.
+for the complexes, networkx for the graph questions, and two separate
+labellings for the two sign-balance answers that an embedding reads off
+the graph's parity forest.
 """
 
 import random
@@ -9,12 +11,15 @@ from functools import lru_cache
 import networkx as nx
 
 from loquad.complexes import HypothesisError, lovasz_complex
-from loquad.embeddings import lovasz_from_quadrangulation, switch_vertex
+from loquad.embeddings import (EmbeddedGraph, embedded,
+                               lovasz_from_quadrangulation, switch_vertex)
 from loquad.generators import k4_projective, klein_grid, torus_grid
 from loquad.graphs import Graph, is_bipartite, is_connected, signed_forest
 from loquad.surfaces import check_surface
 
 from orientation_reference import _coherently_orientable
+from test_darts import CORPUS as DART_CORPUS
+from test_oracle_fast import random_rotation_system
 from test_surfaces import RP2, TETRAHEDRON, TORUS7
 
 
@@ -131,3 +136,61 @@ def test_graph_keeps_one_labelling():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert is_bipartite(g) and not is_connected(g)
     assert g._parity is g._parity
+
+
+# ---------------------------------------------------------------------------
+# The two sign-balance answers of an embedding, from one labelling
+# ---------------------------------------------------------------------------
+
+def separate_labellings(e):
+    """Whether the signs, and the negated signs, are balanced: each by a
+    labelling of its own, along the adjacency, not the rotations."""
+    def signed(flip):
+        return lambda u: [(None, w, flip * e.sign(u, w))
+                          for w in sorted(e.graph.adj[u])]
+    return tuple(signed_forest(e.graph.n, signed(flip)).balanced
+                 for flip in (1, -1))
+
+
+def disjoint_union(a, b):
+    """The embedding of a beside that of b, b's vertices shifted past a's."""
+    k = a.graph.n
+    rotations = a.rotations + tuple(tuple(k + w for w in r)
+                                    for r in b.rotations)
+    edges = list(a.signs) + [(u + k, v + k) for u, v in b.signs]
+    negative = [ed for ed, s in a.signs.items() if s < 0] + [
+        (u + k, v + k) for (u, v), s in b.signs.items() if s < 0]
+    return embedded(k + b.graph.n, edges, rotations, negative)
+
+
+@lru_cache(maxsize=None)
+def balance_corpus():
+    """The dart corpus of `test_darts`, seeded rotation systems with seeded
+    signs, and disconnected embeddings: two disjoint grids each."""
+    out = list(DART_CORPUS)
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = Graph.from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n)
+                                 if rng.random() < 0.35])
+        out.append(random_rotation_system(g, rng.randrange(10 ** 6)))
+    grids = [klein_grid(3, 5, 0), klein_grid(6, 3, 1), torus_grid(3, 4),
+             torus_grid(4, 4)]
+    out += [disjoint_union(a, b) for a in grids for b in grids]
+    out += [switch_vertex(e, 0) for e in out[-16:]]
+    return out
+
+
+def test_one_labelling_gives_both_balance_answers():
+    seen = set()
+    disconnected = 0
+    for e in balance_corpus():
+        fresh = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
+        assert fresh._balance == separate_labellings(e)
+        seen.add(fresh._balance)
+        disconnected += not is_connected(e.graph)
+    # all four pairs of answers occur
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+    assert disconnected >= 32
