@@ -10,10 +10,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Optional
 
-from .graphs import Graph, common_neighbors, common_neighbors_mask, \
+from .graphs import Graph, common_neighbors, common_neighbors_mask, kept, \
     mask_bits
 
 Label = tuple[int, ...]     # a closed set as a sorted vertex tuple
@@ -40,13 +39,14 @@ class SimplicialComplex:
     """Abstract simplicial complex given by vertex labels and maximal faces.
 
     Built once, on first use, and kept with the complex: the faces of
-    each dimension, the vertex link cycles and the closed-surface verdict.
+    each dimension, the vertex link cycles and the closed-surface verdict
+    of `surfaces.check_surface`.
     """
 
     labels: tuple[Label, ...]
     facets: frozenset[frozenset[int]]
-    _faces: dict[int, frozenset[frozenset[int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -62,21 +62,18 @@ class SimplicialComplex:
     def num_vertices(self) -> int:
         return len(self.labels)
 
+    @kept
     def faces(self, dim: int) -> frozenset[frozenset[int]]:
         """All faces of the given dimension (vertex-index sets of size dim+1)."""
-        out = self._faces.get(dim)
-        if out is None:
-            if dim == 0:
-                found = {frozenset([v]) for v in range(self.num_vertices)}
-            else:
-                # a facet of this size is its own face, not a copy
-                found = {f for f in self.facets if len(f) == dim + 1}
-                for f in self.facets:
-                    if len(f) > dim + 1:
-                        found.update(map(frozenset, itertools.combinations(
-                            sorted(f), dim + 1)))
-            out = self._faces[dim] = frozenset(found)
-        return out
+        if dim == 0:
+            return frozenset(frozenset([v]) for v in range(self.num_vertices))
+        # a facet of this size is its own face, not a copy
+        found = {f for f in self.facets if len(f) == dim + 1}
+        for f in self.facets:
+            if len(f) > dim + 1:
+                found.update(map(frozenset, itertools.combinations(
+                    sorted(f), dim + 1)))
+        return frozenset(found)
 
     def dimension(self) -> int:
         return max((len(f) for f in self.facets), default=1) - 1
@@ -87,17 +84,11 @@ class SimplicialComplex:
     def triangles(self) -> frozenset[frozenset[int]]:
         return self.faces(2)
 
-    @cached_property
+    @property
+    @kept
     def _links(self) -> tuple[Optional[tuple[int, ...]], ...]:
         """Each vertex link in cyclic order, None where it is not one cycle."""
         return tuple(map(_link_walk, _link_graphs(self)))
-
-    @cached_property
-    def _surface(self):
-        # the verdict of `surfaces.check_surface`; surfaces imports this
-        # module, so the test is imported here, on first use
-        from .surfaces import _surface_verdict
-        return _surface_verdict(self)
 
     def skeleton_graph(self) -> Graph:
         edges = [tuple(sorted(e)) for e in self.edge_set()]

@@ -5,11 +5,11 @@ edge; negative edges reverse local orientation, which is the standard
 encoding of embeddings in possibly non-orientable surfaces.  This module
 covers face tracing, quadrangulation checks, the sign-balance tests, the
 cut-along-cycle oracle, embedded isomorphism, and the constructions
-relating embeddings to the Lovász complex.  Its analyses read one integer
-numbering of the darts (`Darts`), which also checks a file's rotations
-and signs, and one list of face corners; a face walk state is
-2 * dart + side, the dart u->v with local orientation +1 (side 0) or -1
-at v.
+relating embeddings to the Lovász complex.  Its analyses, each kept
+with the embedding by `graphs.kept`, read one integer numbering of the
+darts (`Darts`), which also checks a file's rotations and signs, and
+one list of face corners; a face walk state is 2 * dart + side, the
+dart u->v with local orientation +1 (side 0) or -1 at v.
 
 Orientability and the even one-sided test are balance tests on the
 vertex signs, both read off one labelling down the spanning forest that
@@ -23,8 +23,8 @@ whose two sides do not cancel.  R is a cycle dual to the one-sidedness
 class w1: it is empty iff the surface is orientable, and a
 quadrangulation is odd iff |R| is odd.  A cut reads each edge's mask
 over the fundamental dual cycles and the class of the signs over them
-(`EmbeddedGraph._dual`); the oracle carries the XOR of the masks down
-its cycle search, in O(1) per cycle.  The references,
+(`_dual_table`); the oracle carries the XOR of the masks down its cycle
+search, in O(1) per cycle.  The references,
 `tests/cut_reference.py`, `tests/oddness_reference.py` and
 `tests/face_reference.py`, build the cut embedding, the cup product on a
 star triangulation and the face walks of (u, v, f) tuples.
@@ -35,7 +35,6 @@ from __future__ import annotations
 from array import array
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, combinations, repeat
 from typing import Iterable, Optional, Sequence
 
@@ -43,8 +42,8 @@ from .complexes import (HypothesisError, Label, LovaszComplex, VertexKind,
                         _assemble_lovasz, quotient_complex)
 from .graphs import (DEFAULT_ORACLE_CYCLE_CAP, Edge, Graph, GraphError,
                      InvariantViolation, canonical_cycle, four_cycles,
-                     is_bipartite, is_connected, labelled_cycles, norm_edge,
-                     signed_forest)
+                     is_bipartite, is_connected, kept, labelled_cycles,
+                     norm_edge, signed_forest)
 from .surfaces import SurfaceClass, _link_sign, classify
 
 
@@ -53,22 +52,19 @@ class EmbeddedGraph:
     """Graph with a cyclic neighbor order per vertex and a sign per edge.
 
     The analyses of the embedding are built once, on first use, and kept
-    with it: the dart numbering, the face walks and corners, the coherence
-    signs and dual table, the quad and facial verdicts, the face-rule
-    hypotheses and complex, the sign balance and the oddness functional.
-    The public functions below read them.  So neither an embedding nor
-    its `signs` dict may be changed after construction.
+    in `_kept`: the dart numbering, the face walks and corners, the
+    coherence signs and dual table, the quad and facial verdicts, the
+    face-rule hypotheses and complex, the sign balance and the oddness
+    functional.  So neither an embedding nor its `signs` dict may be
+    changed after construction.
     """
 
     graph: Graph
     rotations: tuple[tuple[int, ...], ...]
     signs: dict[Edge, int]
-    # `_darts` and `_corners`, kept in declared fields, as `Graph._forest`
-    # is; a parsed embedding comes with its darts numbered
-    _dart_table: Optional[Darts] = field(
-        default=None, init=False, repr=False, compare=False)
-    _face_corners: Optional[list[list[int]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # a parsed embedding comes with its darts numbered
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         g = self.graph
@@ -88,61 +84,21 @@ class EmbeddedGraph:
         return self.signs[norm_edge(u, v)]
 
     @property
+    @kept
     def _darts(self) -> Darts:
-        if self._dart_table is None:
-            object.__setattr__(self, "_dart_table", _number_darts(
-                self.rotations, [(*uv, s) for uv, s in self.signs.items()],
-                self.graph.names))
-        return self._dart_table
+        return _number_darts(
+            self.rotations, [(*uv, s) for uv, s in self.signs.items()],
+            self.graph.names)
 
     @property
+    @kept
     def _corners(self) -> list[list[int]]:
-        if self._face_corners is None:
-            tail = self._darts.tail
-            object.__setattr__(self, "_face_corners", [
-                [tail[s >> 1] for s in walk] for walk in self._walks])
-        return self._face_corners
+        tail = self._darts.tail
+        return [[tail[s >> 1] for s in walk]
+                for walk in _face_state_walks(self)]
 
-    @cached_property
-    def _walks(self) -> list[list[int]]:
-        return _face_state_walks(self)
-
-    @cached_property
-    def _coherence(self) -> Coherence:
-        return _face_coherence(self)
-
-    @cached_property
-    def _dual(self) -> DualTable:
-        return _dual_table(self)
-
-    @cached_property
-    def _quad(self) -> QuadVerdict:
-        for boundary in self._corners:
-            if len(boundary) != 4 or len(set(boundary)) != 4:
-                return QuadVerdict(False, tuple(boundary))
-        return QuadVerdict(True)
-
-    @cached_property
-    def _facial(self) -> FacialVerdict:
-        # a raise is not kept; a later call re-reads the kept quad verdict
-        quad = is_quadrangulation(self)
-        if not quad.ok:
-            raise HypothesisError("embedding is a quadrangulation",
-                                  f"face {quad.bad_face}")
-        # a 4-cycle is its pair of diagonals, and wedge pairs a-b-c, a-d-c
-        # count it twice per diagonal {a, c}; the sorted scan names a witness
-        n, boundaries = self.graph.n, self._corners
-        facial = {frozenset((a * n + c, c * n + a, b * n + d, d * n + b))
-                  for a, b, c, d in boundaries}
-        wedges = Counter(chain.from_iterable(
-            combinations(sorted(nb), 2) for nb in self.graph.adj))
-        if 4 * len(facial) == sum(k * (k - 1) for k in wedges.values()):
-            return FacialVerdict(True)
-        named = set(map(canonical_cycle, boundaries))
-        return FacialVerdict(False, next(
-            c for c in four_cycles(self.graph) if c not in named))
-
-    @cached_property
+    @property
+    @kept
     def _hypothesis_failure(self) -> Optional[tuple[str, str]]:
         """The first failed face-rule hypothesis and its detail, or None."""
         g = self.graph
@@ -159,23 +115,8 @@ class EmbeddedGraph:
                     f"non-facial cycle {facial.witness}")
         return None
 
-    @cached_property
-    def _face_rule_complex(self) -> LovaszComplex:
-        check_face_rule_hypotheses(self)
-        g = self.graph
-        nb: list[Label] = [tuple(sorted(a)) for a in g.adj]
-        triangles: set[frozenset[Label]] = set()
-        for a, b, c, d in self._corners:
-            for (x, z), (y, w) in (((a, c), (b, d)), ((b, d), (a, c))):
-                diag: Label = tuple(sorted((x, z)))
-                triangles.update(frozenset(((s,), diag, nb[t]))
-                                 for s in (x, z) for t in (y, w))
-        labels = sorted({lab for t in triangles for lab in t})
-        index = {lab: i for i, lab in enumerate(labels)}
-        faces = [frozenset(index[lab] for lab in t) for t in triangles]
-        return _assemble_lovasz(g, labels, faces)
-
-    @cached_property
+    @property
+    @kept
     def _balance(self) -> tuple[bool, bool]:
         """Whether the signs, and the negated signs, are balanced (Harary
         1953), from the signs' labels down the forest of `Graph._parity`:
@@ -190,24 +131,6 @@ class EmbeddedGraph:
         agree = [label[u] * label[v] == s for (u, v), s in signs.items()]
         return all(agree), all(
             ok != (parity[u] == parity[v]) for ok, (u, v) in zip(agree, signs))
-
-    @cached_property
-    def _odd(self) -> bool:
-        for c in self._corners:
-            bad = ("faces are simple cycles" if len(set(c)) != len(c) else
-                   "faces have even length" if len(c) % 2 else None)
-            if bad:     # the walk of its darts' heads, the corners turned
-                raise HypothesisError(bad, f"face walk {(*c[1:], *c[:1])}")
-        _, reversal, _, _ = self._coherence
-        # Wu consistency check: w1 squared, the number of negative edges
-        # of R, is the Euler characteristic mod 2
-        chi = euler_characteristic(self)
-        negative = sum(s < 0 for s, rev in zip(self.signs.values(), reversal)
-                       if rev)
-        if negative % 2 != chi % 2:
-            raise InvariantViolation(
-                f"w1 squared disagrees with the Euler characteristic {chi}")
-        return sum(reversal) % 2 == 1
 
 
 def embedded(n: int, edges: Iterable[tuple[int, int]],
@@ -249,12 +172,10 @@ DualTable = tuple[dict[tuple[int, int], int], int]
 
 
 # Int arrays over the darts: d runs from tail[d] to head[d], the darts at
-# u are first[u] to first[u + 1] - 1 in rotation order, and rev, succ,
-# pred, sgn and eid give d's reverse, the darts after and before it at
-# tail[d], and its edge's sign and index in `signs`.  A state s steps
-# along its face to step[s], and mirror[s] runs the face backwards.
-Darts = namedtuple("Darts", "first tail head rev succ pred sgn eid step "
-                            "mirror")
+# u are the run with tail u, in rotation order, and sgn and eid give d's
+# edge's sign and index in `signs`.  A state s steps along its face to
+# step[s], and mirror[s] runs the face backwards.
+Darts = namedtuple("Darts", "tail head sgn eid step mirror")
 
 
 def _number_darts(rots: Sequence[Sequence[int]], signs: Iterable,
@@ -263,6 +184,8 @@ def _number_darts(rots: Sequence[Sequence[int]], signs: Iterable,
     [u, v, s] in `signs`, and check on the way, raising the first fault:
     each sign in turn, then the edges' signs, then the rotations."""
     n = len(rots)
+    # the darts at u are first[u] to first[u + 1] - 1; rev, succ and pred
+    # give d's reverse and the darts after and before it at tail[d]
     first = [0, *accumulate(map(len, rots))]
     tail = list(chain.from_iterable(map(repeat, range(n), map(len, rots))))
     head = list(chain.from_iterable(rots))
@@ -308,10 +231,11 @@ def _number_darts(rots: Sequence[Sequence[int]], signs: Iterable,
     step[1::2] = map(minus.__getitem__, map(pred.__getitem__, rev))
     mirror[0::2] = map(minus.__getitem__, rev)
     mirror[1::2] = map(plus.__getitem__, rev)
-    return Darts(*(array("i", t) for t in (first, tail, head, rev, succ, pred,
-                                           sgn, eid, step, mirror)))
+    return Darts(*(array("i", t) for t in (tail, head, sgn, eid, step,
+                                           mirror)))
 
 
+@kept
 def _face_state_walks(e: EmbeddedGraph) -> list[list[int]]:
     """One state walk per face; every dart is used by exactly one face.
 
@@ -347,6 +271,7 @@ def trace_faces(e: EmbeddedGraph) -> list[FaceWalk]:
     return [FaceWalk(tuple(zip(c, c[1:] + c[:1]))) for c in e._corners]
 
 
+@kept
 def _face_coherence(e: EmbeddedGraph) -> Coherence:
     """Orient the faces along a depth-first spanning forest of the dual
     graph, whose edges join the two face sides of each edge with its
@@ -359,12 +284,13 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
     eid, sgn, tail, head = dt.eid, dt.sgn, dt.tail, dt.head
     # per edge id its face sides, flat: face, state, face, state
     found: list[list[int]] = [[] for _ in e.signs]
-    for fi, walk in enumerate(e._walks):
+    walks = _face_state_walks(e)
+    for fi, walk in enumerate(walks):
         for s in walk:
             found[eid[s >> 1]] += fi, s
     around = [1] * e.graph.n
     sides: list[tuple[int, int, int]] = []      # per edge id: fa, fb, sign
-    dual: list[list[tuple[int, int, int]]] = [[] for _ in e._walks]
+    dual: list[list[tuple[int, int, int]]] = [[] for _ in walks]
     for i, pair in enumerate(found):
         if len(pair) != 4:
             raise InvariantViolation(
@@ -394,11 +320,12 @@ def _face_coherence(e: EmbeddedGraph) -> Coherence:
     return sides, reversal, up, order
 
 
+@kept
 def _dual_table(e: EmbeddedGraph) -> DualTable:
     """Per edge, in both directions, the mask of the fundamental cycles of
     `_face_coherence`'s forest that hold it; and the class of the
     coherence signs, the mask of the cycles whose sign product is -1."""
-    sides, reversal, up, order = e._coherence
+    sides, reversal, up, order = _face_coherence(e)
     # each non-forest edge gets its own bit, and each face the bits of the
     # non-forest edges at it; a forest edge, never reversed, lies on
     # exactly the cycles of the edges with one end below it
@@ -425,7 +352,7 @@ def _dual_table(e: EmbeddedGraph) -> DualTable:
 
 
 def euler_characteristic(e: EmbeddedGraph) -> int:
-    return e.graph.n - e.graph.num_edges + len(e._walks)
+    return e.graph.n - e.graph.num_edges + len(_face_state_walks(e))
 
 
 def surface_class(e: EmbeddedGraph) -> SurfaceClass:
@@ -442,9 +369,13 @@ class QuadVerdict:
     bad_face: Optional[tuple[int, ...]] = None
 
 
+@kept
 def is_quadrangulation(e: EmbeddedGraph) -> QuadVerdict:
     """Every face walk is a simple 4-cycle."""
-    return e._quad
+    for boundary in e._corners:
+        if len(boundary) != 4 or len(set(boundary)) != 4:
+            return QuadVerdict(False, tuple(boundary))
+    return QuadVerdict(True)
 
 
 @dataclass(frozen=True)
@@ -453,10 +384,26 @@ class FacialVerdict:
     witness: Optional[tuple[int, ...]] = None   # a non-facial 4-cycle
 
 
+@kept
 def all_4cycles_facial(e: EmbeddedGraph) -> FacialVerdict:
     """Whether every simple 4-cycle of the graph bounds a face; raises on
     an embedding that is not a quadrangulation."""
-    return e._facial
+    quad = is_quadrangulation(e)
+    if not quad.ok:
+        raise HypothesisError("embedding is a quadrangulation",
+                              f"face {quad.bad_face}")
+    # a 4-cycle is its pair of diagonals, and wedge pairs a-b-c, a-d-c
+    # count it twice per diagonal {a, c}; the sorted scan names a witness
+    n, boundaries = e.graph.n, e._corners
+    facial = {frozenset((a * n + c, c * n + a, b * n + d, d * n + b))
+              for a, b, c, d in boundaries}
+    wedges = Counter(chain.from_iterable(
+        combinations(sorted(nb), 2) for nb in e.graph.adj))
+    if 4 * len(facial) == sum(k * (k - 1) for k in wedges.values()):
+        return FacialVerdict(True)
+    named = set(map(canonical_cycle, boundaries))
+    return FacialVerdict(False, next(
+        c for c in four_cycles(e.graph) if c not in named))
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +466,13 @@ def cut_surface_orientable(e: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     vertex, so every vertex meets S an even number of times; a vertex of
     the cycle meets C in its two cycle edges only, so S is empty or all
     of C.  The cut is orientable iff the class of c in
-    `EmbeddedGraph._dual` is zero or equals the XOR of the masks of C's
+    `_dual_table` is zero or equals the XOR of the masks of C's
     edges, as in `oddness_oracle`.  Cost O(k) after one O(F + E) table
     per embedding; no cut embedding is built, `tests/cut_reference.py`
     builds it.
     """
     _check_cut_cycle(e, cycle)
-    masks, cls = e._dual
+    masks, cls = _dual_table(e)
     flipped, u = 0, cycle[-1]
     for v in cycle:
         flipped ^= masks[u, v]
@@ -544,6 +491,7 @@ class OrientizingWitness:
     cut_surface_orientable: bool
 
 
+@kept
 def oddness_functional(e: EmbeddedGraph) -> bool:
     """Homological oddness: length parity evaluated on the dual of the
     one-sidedness class.
@@ -555,7 +503,21 @@ def oddness_functional(e: EmbeddedGraph) -> bool:
     the parity of |R|, in O(F + E).  Faces must be simple even cycles so
     that the length parity descends to the surface.
     """
-    return e._odd
+    for c in e._corners:
+        bad = ("faces are simple cycles" if len(set(c)) != len(c) else
+               "faces have even length" if len(c) % 2 else None)
+        if bad:     # the walk of its darts' heads, the corners turned
+            raise HypothesisError(bad, f"face walk {(*c[1:], *c[:1])}")
+    _, reversal, _, _ = _face_coherence(e)
+    # Wu consistency check: w1 squared, the number of negative edges of
+    # R, is the Euler characteristic mod 2
+    chi = euler_characteristic(e)
+    negative = sum(s < 0 for s, rev in zip(e.signs.values(), reversal)
+                   if rev)
+    if negative % 2 != chi % 2:
+        raise InvariantViolation(
+            f"w1 squared disagrees with the Euler characteristic {chi}")
+    return sum(reversal) % 2 == 1
 
 
 def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
@@ -564,7 +526,7 @@ def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
     orientizes the surface.
 
     Streams the cycles of `graphs.labelled_cycles`, keeping none, each
-    with the XOR x of its edge masks in `EmbeddedGraph._dual`, and decides
+    with the XOR x of its edge masks in `_dual_table`, and decides
     each in O(1) by the rule of `cut_surface_orientable`; only a witness
     becomes a tuple.  Returns (verdict, witness, complete):
     - (True, the first such cycle, True) once one is found among the
@@ -574,7 +536,7 @@ def oddness_oracle(e: EmbeddedGraph, max_cycles: int = DEFAULT_ORACLE_CYCLE_CAP
     - (None, None, False) when the first `max_cycles` cycles hold none
       and there are more; a cap of zero or below examines none.
     """
-    masks, cls = e._dual
+    masks, cls = _dual_table(e)
     for examined, (path, x) in enumerate(labelled_cycles(e.graph, masks)):
         if examined >= max_cycles:
             return None, None, False
@@ -653,6 +615,7 @@ def check_face_rule_hypotheses(e: EmbeddedGraph) -> None:
         raise HypothesisError(*e._hypothesis_failure)
 
 
+@kept
 def lovasz_from_quadrangulation(e: EmbeddedGraph) -> LovaszComplex:
     """Build the Lovász complex face by face: eight triangles per quad.
 
@@ -660,7 +623,19 @@ def lovasz_from_quadrangulation(e: EmbeddedGraph) -> LovaszComplex:
     singleton < diagonal < neighborhood visible in the face.  Raises when
     the face-rule hypotheses fail.
     """
-    return e._face_rule_complex
+    check_face_rule_hypotheses(e)
+    g = e.graph
+    nb: list[Label] = [tuple(sorted(a)) for a in g.adj]
+    triangles: set[frozenset[Label]] = set()
+    for a, b, c, d in e._corners:
+        for (x, z), (y, w) in (((a, c), (b, d)), ((b, d), (a, c))):
+            diag: Label = tuple(sorted((x, z)))
+            triangles.update(frozenset(((s,), diag, nb[t]))
+                             for s in (x, z) for t in (y, w))
+    labels = sorted({lab for t in triangles for lab in t})
+    index = {lab: i for i, lab in enumerate(labels)}
+    faces = [frozenset(index[lab] for lab in t) for t in triangles]
+    return _assemble_lovasz(g, labels, faces)
 
 
 def rotation_system_of_surface(K) -> EmbeddedGraph:

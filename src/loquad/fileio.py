@@ -35,7 +35,7 @@ def _parse(text: str, source: str) -> dict:
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise FileFormatError(f"{source}: top level must be an object")
-    if doc.get("version") != FORMAT_VERSION or doc["version"] is True:
+    if doc.get("version") != FORMAT_VERSION or type(doc["version"]) is not int:
         raise FileFormatError(
             f"{source}: unsupported format version {doc.get('version')!r}")
     return doc
@@ -113,7 +113,7 @@ def parse_embedding(text: str, source: str = "<input>") -> EmbeddedGraph:
                           rotations, {(u, v): s for u, v, s in raw_signs})
     except GraphError as exc:
         raise FileFormatError(f"{source}: {exc}")
-    object.__setattr__(e, "_dart_table", darts)
+    e._kept["_darts"] = darts
     return e
 
 

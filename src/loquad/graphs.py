@@ -8,6 +8,7 @@ their first use, as integer bitmasks (for the common-neighbor kernels).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -28,6 +29,26 @@ class InvariantViolation(RuntimeError):
     at fault."""
 
 
+def kept(fn):
+    """Keep each value of the analysis `fn(x, *args)` in the declared dict
+    field `x._kept`, under fn's name and the arguments: a new key in the
+    instance dict would slow every later read of x's fields.  A raise is
+    not kept.  Builds call the wrapper's `__wrapped__`, where a test can
+    count them."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def keep(x, *args):
+        key = (name, *args) if args else name
+        try:
+            return x._kept[key]
+        except KeyError:
+            pass
+        value = x._kept[key] = keep.__wrapped__(x, *args)
+        return value
+    return keep
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable finite simple undirected graph."""
@@ -35,12 +56,8 @@ class Graph:
     n: int
     adj: tuple[frozenset[int], ...]
     names: tuple[str, ...]
-    # `masks` and `_parity`, kept on first use in declared fields: a key
-    # added to the instance dict would slow every later read of the others
-    _masks: Optional[tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _forest: Optional[SignedForest] = field(
-        default=None, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]],
@@ -61,11 +78,9 @@ class Graph:
         return Graph(n, tuple(frozenset(a) for a in adj), names)
 
     @property
+    @kept
     def masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            object.__setattr__(self, "_masks", tuple(
-                sum(1 << w for w in a) for a in self.adj))
-        return self._masks
+        return tuple(sum(1 << w for w in a) for a in self.adj)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -79,14 +94,12 @@ class Graph:
         return len(self.adj[v])
 
     @property
+    @kept
     def _parity(self) -> SignedForest:
         """One labelling with every edge sign -1: its roots count the
         components, and it is balanced iff the graph is bipartite."""
-        if self._forest is None:
-            none, minus = itertools.repeat(None), itertools.repeat(-1)
-            object.__setattr__(self, "_forest", signed_forest(
-                self.n, lambda u: zip(none, self.adj[u], minus)))
-        return self._forest
+        none, minus = itertools.repeat(None), itertools.repeat(-1)
+        return signed_forest(self.n, lambda u: zip(none, self.adj[u], minus))
 
 
 def mask_bits(mask: int) -> list[int]:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .complexes import (ComplexError, HypothesisError, SimplicialComplex,
                         _link_graphs)
-from .graphs import signed_forest
+from .graphs import kept, signed_forest
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,6 @@ class SurfaceVerdict:
     surface: Optional[SurfaceClass] = None
 
 
-def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
-    """Combinatorial closed-surface test, kept with the complex; defects
-    are returned, not raised."""
-    return K._surface
-
-
 def _link_sign(links: Sequence[Sequence[int]], u: int, v: int) -> int:
     """The link-rotation sign of the edge uv: +1 iff the links of u and v,
     read in their stored directions, step across uv into different
@@ -68,11 +62,13 @@ def _link_sign(links: Sequence[Sequence[int]], u: int, v: int) -> int:
     return -1 if same else 1
 
 
-def _surface_verdict(K: SimplicialComplex) -> SurfaceVerdict:
-    """Once every link is a cycle, one labelling of the vertices over
-    their link neighbours, signed by `_link_sign`, counts the components
-    and decides orientability: balanced signs orient the links
-    coherently."""
+@kept
+def check_surface(K: SimplicialComplex) -> SurfaceVerdict:
+    """Combinatorial closed-surface test, kept with the complex; defects
+    are returned, not raised.  Once every link is a cycle, one labelling
+    of the vertices over their link neighbours, signed by `_link_sign`,
+    counts the components and decides orientability: balanced signs
+    orient the links coherently."""
     if not K.num_vertices:
         return SurfaceVerdict(False, SurfaceDefect("empty", "no vertices"))
     for f in K.facets:

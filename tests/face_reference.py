@@ -63,6 +63,6 @@ def tuple_walks(e: EmbeddedGraph) -> list[list[State]]:
 
 
 def as_tuples(e: EmbeddedGraph, walk: list[int]) -> list[State]:
-    """An int walk of `e._walks` as (u, v, f) states."""
+    """An int walk of `_face_state_walks(e)` as (u, v, f) states."""
     tail, head = e._darts.tail, e._darts.head
     return [(tail[s >> 1], head[s >> 1], -1 if s & 1 else 1) for s in walk]

@@ -338,6 +338,10 @@ MALFORMED = {
                                      "missing sign for edge [0, 2]"),
     "names-wrong-length": ({"names": ["a", "b", "c"]},
                            "'names' must list 4 strings"),
+    # a float equal to 1 is no version, as it is no vertex count or index
+    "version-float": ({"version": 1.0, "n": 1, "names": ["a"],
+                       "rotations": [[]], "signs": []},
+                      "unsupported format version 1.0"),
     # faults found in different places keep their order
     "duplicate-before-shape": ({"signs": [_S[0], _S[0], [0, 2], *_S[2:]]},
                                "duplicate sign for [0, 1]"),

@@ -56,28 +56,16 @@ def test_tables_match_the_rotations_and_signs(i):
     e = CORPUS[i]
     dt = e._darts
     m = 2 * e.graph.num_edges
-    assert all(len(t) == m for t in dt[1:8])
+    assert all(len(t) == m for t in (dt.tail, dt.head, dt.sgn, dt.eid))
     assert len(dt.step) == len(dt.mirror) == 2 * m
-    # the darts at u are first[u] to first[u + 1] - 1, in rotation order
-    assert dt.first[0] == 0 and dt.first[-1] == m
+    # the darts of u are the run with tail u, with heads in rotation order
+    assert list(dt.tail) == sorted(dt.tail)
     for u, rot in enumerate(e.rotations):
-        darts = range(dt.first[u], dt.first[u + 1])
-        assert [dt.tail[d] for d in darts] == [u] * len(rot)
-        assert tuple(dt.head[d] for d in darts) == rot
-    # rev is a fixed-point-free involution that swaps tail and head
-    for d in range(m):
-        r = dt.rev[d]
-        assert r != d and dt.rev[r] == d
-        assert (dt.tail[r], dt.head[r]) == (dt.head[d], dt.tail[d])
-    # succ and pred are inverse permutations that cycle each rotation
-    assert sorted(dt.succ) == list(range(m))
-    assert all(dt.pred[dt.succ[d]] == d for d in range(m))
-    for u, rot in enumerate(e.rotations):
-        d, orbit = dt.first[u], []
-        for _ in rot:
-            orbit.append(dt.head[d])
-            d = dt.succ[d]
-        assert tuple(orbit) == rot and (not rot or d == dt.first[u])
+        assert tuple(h for t, h in zip(dt.tail, dt.head) if t == u) == rot
+    # each dart has a reverse, the one dart with tail and head swapped
+    arcs = list(zip(dt.tail, dt.head))
+    assert len(set(arcs)) == m and all(t != h for t, h in arcs)
+    assert set(arcs) == {(h, t) for t, h in arcs}
     # sign and edge index, in `signs` order
     edges = list(e.signs)
     for d in range(m):
@@ -89,7 +77,7 @@ def test_tables_match_the_rotations_and_signs(i):
 @pytest.mark.parametrize("i", range(len(CORPUS)))
 def test_walks_match_the_tuple_tracer(i):
     e = CORPUS[i]
-    walks = e._walks
+    walks = embeddings._face_state_walks(e)
     assert [as_tuples(e, w) for w in walks] == tuple_walks(e)
     # every state lies on exactly one face walk, in one of its traversals
     on = [0] * (4 * e.graph.num_edges)
@@ -108,14 +96,16 @@ def test_walks_match_the_tuple_tracer(i):
 
 def test_corpus_has_faces_that_meet_themselves():
     meets = sum(any(len({e._darts.eid[s >> 1] for s in w}) < len(w)
-                    for w in e._walks) for e in CORPUS)
+                    for w in embeddings._face_state_walks(e))
+               for e in CORPUS)
     assert meets > 0
 
 
 def _reference_facial(e):
     """The sorted scan: every 4-cycle against the facial boundaries."""
     tail = e._darts.tail
-    facial = {canonical_cycle([tail[s >> 1] for s in w]) for w in e._walks}
+    facial = {canonical_cycle([tail[s >> 1] for s in w])
+              for w in embeddings._face_state_walks(e)}
     return next((c for c in four_cycles(e.graph) if c not in facial), None)
 
 
@@ -161,12 +151,12 @@ def test_parsed_table_matches_the_numbering_of_the_built_embedding(i):
     e = CORPUS[i]
     parsed = parse_embedding(dump_embedding(e))
     # the parser hands its numbering over; nothing numbers it again
-    assert parsed._dart_table is not None
+    assert "_darts" in parsed._kept
     # the file lists the signs in the graph's edge order, and `eid` counts
     # them in that order
     g = e.graph
     built = EmbeddedGraph(g, e.rotations, {ed: e.signs[ed] for ed in g.edges})
-    assert built._dart_table is None
+    assert "_darts" not in built._kept
     table, reference = parsed._darts, built._darts
     for name in Darts._fields:
         assert getattr(table, name) == getattr(reference, name), name
@@ -174,6 +164,6 @@ def test_parsed_table_matches_the_numbering_of_the_built_embedding(i):
     assert parsed.signs == e.signs
     # masks are built when first read, and equal the eager ones
     eager = tuple(sum(1 << w for w in a) for a in g.adj)
-    assert parsed.graph._masks is None
+    assert "masks" not in parsed.graph._kept
     assert parsed.graph.masks == eager
     assert parsed.graph == g and built.graph.masks == eager

@@ -113,21 +113,22 @@ class TestCutting:
         # built; a stale kept analysis stands in for a wrong one
         for e in (k4p, t33):
             wrong_verdict = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
-            wrong_verdict.__dict__["_balance"] = (
+            wrong_verdict._kept["_balance"] = (
                 not is_orientable_embedding(e), False)
             with pytest.raises(InvariantViolation, match="disagree"):
                 cut_surface_orientable(wrong_verdict, (0, 1, 2))
             face_lost = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
-            face_lost.__dict__["_walks"] = face_lost._walks[1:]
+            face_lost._kept["_face_state_walks"] = \
+                embeddings._face_state_walks(face_lost)[1:]
             with pytest.raises(InvariantViolation, match="1 face sides"):
                 cut_surface_orientable(face_lost, (0, 1, 2))
             # one side flag turned: the coherence signs around the two ends
             # of that edge no longer multiply to +1, the premise of the cut
             # rule
             turned = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
-            walks = [list(w) for w in turned._walks]
+            walks = [list(w) for w in embeddings._face_state_walks(turned)]
             walks[0][0] ^= 1
-            turned.__dict__["_walks"] = walks
+            turned._kept["_face_state_walks"] = walks
             d = walks[0][0] >> 1
             first = e.graph.names[min(e._darts.tail[d], e._darts.head[d])]
             with pytest.raises(InvariantViolation,

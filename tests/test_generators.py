@@ -59,7 +59,8 @@ class TestFamilies:
         # a Klein grid states neither its facial verdict nor its oddness,
         # so generating it computes neither
         e = klein_grid(3, 5, 0)
-        assert not {"_facial", "_odd"} & e.__dict__.keys()
+        assert not {"all_4cycles_facial", "oddness_functional"} & \
+            e._kept.keys()
 
 
 class TestShippedFixtures:

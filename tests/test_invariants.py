@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from conftest import drawn
 from loquad import complexes, embeddings, invariants, surfaces
 from loquad.complexes import HypothesisError, lovasz_complex
-from loquad.embeddings import (EmbeddedGraph, embedded,
-                               lovasz_from_quadrangulation)
+from loquad.embeddings import (EmbeddedGraph, embedded, embedded_isomorphic,
+                               lovasz_from_quadrangulation,
+                               lovasz_quotient_embedding, trace_faces)
 from loquad.generators import klein_grid, torus_grid
 from loquad.graphs import Graph, InvariantViolation, chromatic_number
 from loquad.invariants import (build_labeling, cyclic_quad_count, gray_count,
@@ -236,7 +239,7 @@ class TestFaceRoute:
             e = _fresh(e)
             for rule in ("min", "max"):
                 invariant_report(e, rule)
-            assert "_face_rule_complex" not in e.__dict__
+            assert "lovasz_from_quadrangulation" not in e._kept
 
 
 class TestVerifyTheorems:
@@ -335,7 +338,8 @@ class TestVerifyTheorems:
 
 def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     walked, assembled, numbered = [], [], []
-    walks = embeddings._face_state_walks
+    # the kept analyses are counted where they are built, not read
+    walks = embeddings._face_state_walks.__wrapped__
     assemble = embeddings._assemble_lovasz
     number = embeddings._number_darts
 
@@ -357,7 +361,8 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
 
     report_input = fresh(klein_grid(5, 5, 0))
     verify_input = fresh(klein_grid(5, 7, 0))
-    monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
+    monkeypatch.setattr(embeddings._face_state_walks, "__wrapped__",
+                        counting_walks)
     monkeypatch.setattr(embeddings, "_number_darts", counting_number)
     monkeypatch.setattr(embeddings, "_assemble_lovasz", counting_assemble)
     e = report_input
@@ -372,7 +377,7 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     numbered.clear()
     assembled.clear()
     verdicts_built, links_walked = [], []
-    verdict = surfaces._surface_verdict
+    verdict = surfaces.check_surface.__wrapped__
     link_walk = complexes._link_walk
 
     def counting_verdict(K):
@@ -390,7 +395,8 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
         reports_built.append(rule)
         return report(e, rule)
 
-    monkeypatch.setattr(surfaces, "_surface_verdict", counting_verdict)
+    monkeypatch.setattr(surfaces.check_surface, "__wrapped__",
+                        counting_verdict)
     monkeypatch.setattr(complexes, "_link_walk", counting_link_walk)
     quads_labeled = []
     label_quads = invariants.labeled_quads
@@ -418,3 +424,24 @@ def test_faces_and_face_rule_complex_are_built_once(monkeypatch):
     assert reports_built == ["min", "max"]
     # neither report labels the quads of a complex
     assert quads_labeled == []
+
+
+def test_analyses_are_kept_in_declared_fields():
+    # a key added to an instance dict slows every later read of the
+    # object's fields, so no analysis may add one
+    e = _fresh(klein_grid(5, 5, 0))
+    invariant_report(e)
+    verify_theorems(e, run_oracle=True, oracle_cap=3000)
+    trace_faces(e)
+    L = lovasz_from_quadrangulation(e)
+    Q, _ = complexes.quotient_complex(L)
+    folded = lovasz_quotient_embedding(L)
+    assert embedded_isomorphic(e, folded)
+    for K in (L.base, Q):
+        surfaces.check_surface(K)
+        surfaces.classify(K)
+    objects = (e, e.graph, L.base, Q, folded, folded.graph)
+    for obj in objects:
+        assert vars(obj).keys() == {f.name for f in dataclasses.fields(obj)}
+    # and each of them did keep analyses
+    assert all(obj._kept for obj in objects)

@@ -176,7 +176,7 @@ def random_rotation_system(g, seed):
 
 def meets_itself(e):
     """Whether some face has both sides of one edge."""
-    for walk in e._walks:
+    for walk in embeddings._face_state_walks(e):
         edges = [e._darts.eid[s >> 1] for s in walk]
         if len(set(edges)) != len(edges):
             return True
@@ -411,11 +411,12 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     cycles_of = embeddings.labelled_cycles
     cut_orientable = embeddings.cut_surface_orientable
     check_cut_cycle = embeddings._check_cut_cycle
-    face_walks = embeddings._face_state_walks
+    # the kept analyses are counted where they are built, not read
+    face_walks = embeddings._face_state_walks.__wrapped__
     number_darts = embeddings._number_darts
     numbered = []
-    dual_table = embeddings._dual_table
-    face_coherence = embeddings._face_coherence
+    dual_table = embeddings._dual_table.__wrapped__
+    face_coherence = embeddings._face_coherence.__wrapped__
     forest = embeddings.signed_forest
 
     def counting_post_init(self):
@@ -461,10 +462,12 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     monkeypatch.setattr(embeddings, "labelled_cycles", counting_cycles)
     monkeypatch.setattr(embeddings, "cut_surface_orientable", counting_cut)
     monkeypatch.setattr(embeddings, "_check_cut_cycle", counting_check)
-    monkeypatch.setattr(embeddings, "_face_state_walks", counting_walks)
+    monkeypatch.setattr(embeddings._face_state_walks, "__wrapped__",
+                        counting_walks)
     monkeypatch.setattr(embeddings, "_number_darts", counting_number)
-    monkeypatch.setattr(embeddings, "_dual_table", counting_dual)
-    monkeypatch.setattr(embeddings, "_face_coherence", counting_coherence)
+    monkeypatch.setattr(embeddings._dual_table, "__wrapped__", counting_dual)
+    monkeypatch.setattr(embeddings._face_coherence, "__wrapped__",
+                        counting_coherence)
     monkeypatch.setattr(embeddings, "signed_forest", counting_forest)
     verdict, witness, complete = oddness_oracle(odd_quad, 200000)
     assert not built
@@ -484,7 +487,7 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     assert numbered == [odd_quad.rotations]
     # the table runs one labelling, of the dual faces; the vertex signs its
     # check reads go down the graph's parity forest; the cuts run none
-    assert labelled == [len(odd_quad._walks)]
+    assert labelled == [len(embeddings._face_state_walks(odd_quad))]
     assert labelled_at_table == [1]
 
     # an even quadrangulation: every cycle up to the cap is decided, and
@@ -497,7 +500,8 @@ def test_oracle_builds_no_embeddings(monkeypatch):
     # still one numbering, one trace and one table per embedding
     assert traced == duals == coherences == [odd_quad, even_quad]
     assert numbered == [odd_quad.rotations, even_quad.rotations]
-    assert labelled == [len(odd_quad._walks), len(even_quad._walks)]
+    assert labelled == [len(embeddings._face_state_walks(e))
+                        for e in (odd_quad, even_quad)]
     assert labelled_at_table == [1, 2]
 
     # the report decides oddness from one coherence labelling and builds
@@ -589,7 +593,8 @@ def test_oracle_cap_edge_cases(fixtures):
 def test_oracle_holds_no_cycle_list():
     e = klein_grid(6, 3, 0)
     e = EmbeddedGraph(e.graph, e.rotations, dict(e.signs))
-    e._dual     # the table is built once per embedding, not per search
+    # the table is built once per embedding, not per search
+    embeddings._dual_table(e)
     tracemalloc.start()
     try:
         result = oddness_oracle(e, 200000)
